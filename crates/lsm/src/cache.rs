@@ -81,10 +81,14 @@ impl CacheBudget {
             if used + bytes > self.capacity {
                 return false;
             }
+            // Acquire pairs with `release_block`'s Release: a reservation
+            // funded by a release sees that release's `block_bytes`
+            // decrement, so `block_bytes` stays within the reserved part of
+            // `used` (≤ capacity) in every observer's view.
             match self.used.compare_exchange_weak(
                 used,
                 used + bytes,
-                Ordering::Relaxed,
+                Ordering::Acquire,
                 Ordering::Relaxed,
             ) {
                 Ok(_) => {
@@ -96,9 +100,12 @@ impl CacheBudget {
         }
     }
 
+    /// Mirror image of `try_reserve_block`: `block_bytes` drops before the
+    /// space returns to `used`, so no reservation can reuse the bytes while
+    /// `block_bytes` still counts them.
     fn release_block(&self, bytes: usize) {
-        self.used.fetch_sub(bytes, Ordering::Relaxed);
         self.block_bytes.fetch_sub(bytes, Ordering::Relaxed);
+        self.used.fetch_sub(bytes, Ordering::Release);
     }
 
     /// Pinned charge (open table handle): never refused — the block side
@@ -138,7 +145,8 @@ const NIL: usize = usize::MAX;
 
 struct Slot {
     key: BlockKey,
-    data: Arc<Vec<u8>>,
+    /// `None` only while the slot sits on the free list.
+    data: Option<Arc<Vec<u8>>>,
     prev: usize,
     next: usize,
     /// Logical last-touch time from the cache-wide clock — cross-segment
@@ -197,8 +205,7 @@ impl LruSegment {
     fn remove(&mut self, i: usize) -> usize {
         self.detach(i);
         let k = self.slots[i].key;
-        let bytes = self.slots[i].data.len();
-        self.slots[i].data = Arc::new(Vec::new());
+        let bytes = self.slots[i].data.take().map_or(0, |d| d.len());
         self.map.remove(&k);
         self.free.push(i);
         bytes
@@ -295,7 +302,7 @@ impl BlockCache {
                 seg.push_front(i);
                 seg.slots[i].tick = self.clock.fetch_add(1, Ordering::Relaxed);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&seg.slots[i].data))
+                seg.slots[i].data.clone()
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -363,8 +370,8 @@ impl BlockCache {
         if let Some(&i) = seg.map.get(&key) {
             // A concurrent insert of the same key won the race: keep one
             // copy and hand back this call's reservation.
-            let old = std::mem::replace(&mut seg.slots[i].data, data);
-            self.budget.release_block(old.len());
+            let old = seg.slots[i].data.replace(data);
+            self.budget.release_block(old.map_or(0, |d| d.len()));
             seg.detach(i);
             seg.push_front(i);
             seg.slots[i].tick = self.clock.fetch_add(1, Ordering::Relaxed);
@@ -372,7 +379,7 @@ impl BlockCache {
         }
         let slot = Slot {
             key,
-            data,
+            data: Some(data),
             prev: NIL,
             next: NIL,
             tick: self.clock.fetch_add(1, Ordering::Relaxed),

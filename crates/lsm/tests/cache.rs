@@ -109,3 +109,20 @@ fn compaction_evicts_dead_tables() {
     assert!(cache.used_bytes() <= cache.capacity_bytes());
     let _ = used_before;
 }
+
+#[test]
+fn cached_maintenance_reads_no_more_than_uncached() {
+    // Compaction merge sources refill ~4 KB no-fill spans that mostly
+    // straddle two cache blocks; one device read per run of missed blocks
+    // keeps a cached engine's flush + compaction at the uncached call count.
+    let read_calls = |cache_bytes: usize| {
+        let db = loaded_db(cache_bytes);
+        assert!(db.stats().snapshot().compactions > 0, "load must compact");
+        db.storage().stats().snapshot().read_calls
+    };
+    let (cached, plain) = (read_calls(1 << 20), read_calls(0));
+    assert!(
+        cached <= plain,
+        "cached maintenance made {cached} device reads, uncached {plain}"
+    );
+}
