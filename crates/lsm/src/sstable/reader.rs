@@ -362,6 +362,15 @@ impl TableReader {
         let mut buf = vec![0u8; run_end.min(self.file.len()).saturating_sub(run_start) as usize];
         self.file.read_exact_at(run_start, &mut buf)?;
         copy_overlap(out, off, &buf, run_start);
+        if blocks.end - blocks.start == 1 {
+            // A one-block run is already the block: cache it without a copy.
+            cache
+                .blocks()
+                .insert(self.block_key(blocks.start), Arc::new(buf));
+            return Ok(());
+        }
+        // Each block of a longer run is its own cache entry, so its bytes
+        // are copied out of the shared read buffer once.
         for (b, slice) in blocks.zip(buf.chunks(CACHE_BLOCK as usize)) {
             cache
                 .blocks()

@@ -42,7 +42,7 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -56,7 +56,7 @@ use crate::protocol::{
     decode_request, encode_response, read_frame, write_frame, FrameError, Request, Response,
     ServerError, DEFAULT_MAX_FRAME,
 };
-use crate::transport::Listener;
+use crate::transport::{Connection, Listener};
 
 /// Server-side cap on `Scan`/`SnapshotScan` limits, so one request can
 /// neither hold a worker for an unbounded merge nor overflow the
@@ -245,9 +245,8 @@ impl Server {
 
         // 3. Drain: wake the workers; they exit once the ready queue is
         //    dry (every admitted request answered). Notify under the
-        //    queue lock: a worker that read `closing` as false before
-        //    step 1 is then already waiting, so the wake-up cannot fall
-        //    between its check and its wait.
+        //    queue lock, so a worker that saw `closing` unset is already
+        //    waiting and cannot miss the wake-up.
         {
             let _queue = self.shared.ready.queue.lock().unwrap();
             self.shared.ready.cv.notify_all();
@@ -269,39 +268,42 @@ impl Server {
 
 fn acceptor_loop(shared: &Arc<Shared>, listener: &dyn Listener) {
     let mut serial = 0u64;
+    // Dials that land during `close` are served too: their reader sheds
+    // every buffered request with `ShuttingDown`, so the client gets a
+    // typed answer instead of a torn-down connection.
     while let Ok(conn) = listener.accept() {
-        if shared.closing.load(Ordering::Acquire) {
-            conn.shutdown_both();
-            continue;
-        }
         serial += 1;
         let id = serial;
-        // Register before the reader starts: `close` EOFs exactly the
-        // registered connections, and only after joining this thread, so
-        // a reader it has not yet seen would block on its read forever.
-        let state = Arc::new(ConnState {
-            read_shutdown: conn.read_shutdown_handle(),
-            both_shutdown: conn.both_shutdown_handle(),
-            writer: Mutex::new(conn.writer),
-            inflight: AtomicUsize::new(0),
-        });
-        shared.conns.lock().unwrap().insert(id, Arc::clone(&state));
-        let reader = conn.reader;
         let shared2 = Arc::clone(shared);
         let handle = std::thread::Builder::new()
             .name(format!("lsm-server-conn-{id}"))
-            .spawn(move || reader_loop(&shared2, id, reader, &state))
+            .spawn(move || reader_loop(&shared2, id, conn))
             .expect("spawn reader");
         shared.readers.lock().unwrap().push(handle);
     }
 }
 
-fn reader_loop(
-    shared: &Arc<Shared>,
-    conn_id: u64,
-    mut reader: Box<dyn Read + Send>,
-    state: &Arc<ConnState>,
-) {
+fn reader_loop(shared: &Arc<Shared>, conn_id: u64, conn: Connection) {
+    let read_shutdown = conn.read_shutdown_handle();
+    let both_shutdown = conn.both_shutdown_handle();
+    let mut reader = conn.reader;
+    let state = Arc::new(ConnState {
+        writer: Mutex::new(conn.writer),
+        inflight: AtomicUsize::new(0),
+        read_shutdown,
+        both_shutdown,
+    });
+    shared
+        .conns
+        .lock()
+        .unwrap()
+        .insert(conn_id, Arc::clone(&state));
+    // Registered after `close` EOFed the known readers: EOF ourselves, or
+    // the closer's join would wait on this read forever.
+    if shared.closing.load(Ordering::Acquire) {
+        (state.read_shutdown)();
+    }
+
     loop {
         let (id, tag, payload) = match read_frame(&mut reader, shared.opts.max_frame) {
             Ok(frame) => frame,
@@ -324,12 +326,12 @@ fn reader_loop(
                 continue;
             }
         };
-        match admit(shared, state, &req) {
+        match admit(shared, &state, &req) {
             Admission::Admit => {
                 state.inflight.fetch_add(1, Ordering::AcqRel);
                 let mut q = shared.ready.queue.lock().unwrap();
                 q.push_back(Work {
-                    conn: Arc::clone(state),
+                    conn: Arc::clone(&state),
                     id,
                     req,
                 });

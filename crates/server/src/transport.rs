@@ -56,9 +56,10 @@ impl Connection {
     }
 }
 
-/// Accepts inbound [`Connection`]s. `accept` blocks; `close` unblocks it
-/// permanently (subsequent calls fail), which is how the server's
-/// acceptor thread is told to exit.
+/// Accepts inbound [`Connection`]s. `accept` blocks; `close` refuses new
+/// dials and unblocks it permanently (once any dials already connected
+/// are handed out, calls fail), which is how the server's acceptor
+/// thread is told to exit.
 pub trait Listener: Send + Sync {
     fn accept(&self) -> io::Result<Connection>;
     fn close(&self);
@@ -337,12 +338,10 @@ impl Listener for MemListener {
 
     fn close(&self) {
         let mut st = self.0.state.lock().unwrap();
+        // Dials already connected stay queued: `accept` hands them out
+        // before it reports closed, so their clients get served (or shed)
+        // rather than cut off.
         st.closed = true;
-        // Pending never-accepted dials are torn down so their clients
-        // see EOF instead of a silent hang.
-        for conn in st.pending.drain(..) {
-            conn.shutdown_both();
-        }
         self.0.cv.notify_all();
     }
 
@@ -391,6 +390,21 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         listener.close();
         assert!(t.join().unwrap(), "accept should fail after close");
+    }
+
+    #[test]
+    fn mem_listener_close_hands_out_connected_dials_first() {
+        let (connector, listener) = MemTransport::endpoint();
+        let client = connector.connect().expect("connect");
+        listener.close();
+        assert!(connector.connect().is_err(), "close refuses new dials");
+        let mut server = listener.accept().expect("connected dial survives close");
+        let mut cw = client.writer;
+        cw.write_all(b"hi").unwrap();
+        let mut buf = [0u8; 2];
+        server.reader.read_exact(&mut buf).unwrap();
+        assert_eq!(&buf, b"hi");
+        assert!(listener.accept().is_err(), "then accept reports closed");
     }
 
     #[test]
