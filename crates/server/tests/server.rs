@@ -375,8 +375,11 @@ fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
     {
         let conn = connector.connect().expect("dial");
         let mut w = conn.writer;
-        w.write_all(&u32::MAX.to_le_bytes()).expect("send");
-        w.write_all(&[0u8; 64]).expect("send");
+        // One write: the server may hang up as soon as it reads the
+        // length, and a second write would then race that disconnect.
+        let mut frame = u32::MAX.to_le_bytes().to_vec();
+        frame.extend_from_slice(&[0u8; 64]);
+        w.write_all(&frame).expect("send");
         let mut r = conn.reader;
         let mut buf = [0u8; 16];
         assert_eq!(r.read(&mut buf).expect("read"), 0, "expected clean EOF");
