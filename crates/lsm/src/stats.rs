@@ -702,6 +702,28 @@ mod tests {
     }
 
     #[test]
+    fn gauges_sum_on_add_and_keep_later_value_on_since() {
+        let a = StatsSnapshot {
+            cache_used_bytes: 300,
+            cache_capacity_bytes: 1000,
+            ..Default::default()
+        };
+        let b = StatsSnapshot {
+            cache_used_bytes: 200,
+            cache_capacity_bytes: 1000,
+            ..Default::default()
+        };
+        let sum = a + b;
+        assert_eq!(sum.cache_used_bytes, 500, "private caches add up");
+        assert_eq!(sum.cache_capacity_bytes, 2000);
+        // A gauge may fall between readings: the diff is the later value,
+        // never an underflowing subtraction.
+        let d = b.since(&a);
+        assert_eq!(d.cache_used_bytes, 200);
+        assert_eq!(d.cache_capacity_bytes, 1000);
+    }
+
+    #[test]
     fn counter_pairs_flatten_scalars_and_busy_levels() {
         let s = DbStats::new();
         s.lookups.fetch_add(9, Ordering::Relaxed);
