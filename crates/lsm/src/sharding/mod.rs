@@ -797,7 +797,7 @@ impl ShardedDb {
     /// — and a split publishing a new epoch later leaves the handle
     /// reading the shard set it pinned.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let _commit = self.core.coordination.lock.lock();
+        let _commit = self.core.coordination.lock_for_pin();
         let state = self.core.current_state();
         let seq = self.core.fence.visible.load(Ordering::Acquire);
         ShardedSnapshot {
@@ -1052,16 +1052,17 @@ impl ShardedDb {
 
     /// Engine counters summed across every shard plus the sharding
     /// layer's own (peaks take the max) — [`DbStats::merged`] over the
-    /// per-shard blocks.
+    /// per-shard blocks. `own_stats` also carries every split parent's
+    /// final counts, so merged counters never fall across a split.
     pub fn stats(&self) -> StatsSnapshot {
-        let state = self.core.current_state();
-        let mut snap = DbStats::merged(
-            state
-                .shards
-                .iter()
-                .map(|d| d.stats())
-                .chain(std::iter::once(&self.core.own_stats)),
-        );
+        // Under the routing lock, which a cutover holds while it folds the
+        // retired parent into `own_stats`.
+        let (state, mut snap) = {
+            let state = self.core.state.read();
+            let shards = state.shards.iter().map(|d| d.stats());
+            let own = std::iter::once(&self.core.own_stats);
+            (Arc::clone(&state), DbStats::merged(shards.chain(own)))
+        };
         // Cache counters live in the cache itself, not in any `DbStats`
         // block: absorb the shared cache once, or each shard's private
         // cache under the split-budget baseline.
@@ -1239,7 +1240,7 @@ impl ShardedCore {
         // here while another commit failed must not proceed — it would
         // re-allocate the failed batch's sequence range and could publish
         // a fence past the orphaned sub-batches.
-        let _commit = self.coordination.enter()?;
+        let _commit = self.coordination.enter_commit()?;
         let state = self.current_state();
         let pending = self
             .pending
@@ -1789,9 +1790,15 @@ impl ShardedCore {
         });
         *topo_guard = new_topo;
         drop(topo_guard);
-        *self.state.write() = new_state;
-        *self.pending.lock() = None;
         let parent = Arc::clone(state.shard(p.parent_pos));
+        {
+            // The parent's counts live on in `own_stats`, folded under the
+            // lock `stats()` sums under: it counts them exactly once.
+            let mut current = self.state.write();
+            *current = new_state;
+            self.own_stats.absorb(&parent.stats().snapshot());
+        }
+        *self.pending.lock() = None;
         self.remove_worker_core(parent.core());
         self.own_stats.shard_splits.fetch_add(1, Ordering::Relaxed);
         if let Some(o) = self.observer.as_deref() {

@@ -5,100 +5,274 @@
 //! read counts (Fig. 10), compaction stage breakdown (Fig. 9), and index
 //! memory (Figs. 6, 8, 11, 12). [`DbStats`] collects all of them with
 //! relaxed atomics so the hot path stays cheap.
+//!
+//! Every counter is declared once, in the `counters!` table below. Its
+//! kind decides how it folds (`+`, [`DbStats::merged`]) and diffs
+//! ([`StatsSnapshot::since`]):
+//!
+//! | kind    | in `DbStats` | in the snapshot | fold | diff |
+//! |---------|--------------|-----------------|------|------|
+//! | `sum`   | yes | yes | add | subtract |
+//! | `peak`  | yes | yes | max | later value |
+//! | `level` | yes (per-level array) | yes | add | subtract |
+//! | `cache` | no  | yes (via [`StatsSnapshot::absorb_cache`]) | add | subtract |
+//! | `gauge` | no  | yes (via [`StatsSnapshot::absorb_cache`]) | add | later value |
+//! | `live`  | yes | no  | — | — |
+//!
+//! Table order is [`StatsSnapshot::counter_pairs`] order; rows tagged `STATS`
+//! also go into the server's STATS reply ([`StatsSnapshot::stats_pairs`]).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Maximum LSM levels tracked by the per-level counters.
 pub const MAX_LEVELS: usize = 12;
 
-/// Shared engine counters. Cloneable snapshots via [`DbStats::snapshot`].
-#[derive(Debug, Default)]
-pub struct DbStats {
+/// One operation on one table row (normalized by `counters!`); a row the
+/// operation does not apply to expands to nothing.
+macro_rules! row {
+    (load $s:ident $o:ident (level $a:ident $b:ident $($x:tt)*)) => {
+        $o.$a = std::array::from_fn(|i| $s.$a[i].load(Relaxed));
+        $o.$b = std::array::from_fn(|i| $s.$b[i].load(Relaxed));
+    };
+    (load $s:ident $o:ident ($k:ident $f:ident $(STATS)?)) => {
+        $o.$f = $s.$f.load(Relaxed);
+    };
+    (absorb $s:ident $from:ident (level $a:ident $b:ident $($x:tt)*)) => {
+        for i in 0..MAX_LEVELS {
+            $s.$a[i].fetch_add($from.$a[i], Relaxed);
+            $s.$b[i].fetch_add($from.$b[i], Relaxed);
+        }
+    };
+    (absorb $s:ident $from:ident (peak $f:ident)) => {
+        $s.$f.fetch_max($from.$f, Relaxed);
+    };
+    (absorb $s:ident $from:ident (sum $f:ident $(STATS)?)) => {
+        $s.$f.fetch_add($from.$f, Relaxed);
+    };
+    (diff $o:ident $e:ident (level $a:ident $b:ident $($x:tt)*)) => {
+        for i in 0..MAX_LEVELS {
+            $o.$a[i] -= $e.$a[i];
+            $o.$b[i] -= $e.$b[i];
+        }
+    };
+    (diff $o:ident $e:ident (sum $f:ident $($x:tt)*)) => {
+        $o.$f -= $e.$f;
+    };
+    (diff $o:ident $e:ident (cache $f:ident $($x:tt)*)) => {
+        $o.$f -= $e.$f;
+    };
+    (add $o:ident $r:ident (level $a:ident $b:ident $($x:tt)*)) => {
+        for i in 0..MAX_LEVELS {
+            $o.$a[i] += $r.$a[i];
+            $o.$b[i] += $r.$b[i];
+        }
+    };
+    (add $o:ident $r:ident (peak $f:ident)) => {
+        $o.$f = $o.$f.max($r.$f);
+    };
+    (add $o:ident $r:ident ($k:ident $f:ident $($x:tt)*)) => {
+        $o.$f += $r.$f;
+    };
+    (cache $o:ident $c:ident ($k:ident $f:ident = $src:ident)) => {
+        $o.$f += $c.$src;
+    };
+    (scalar $s:ident (level $($x:tt)*)) => {
+        None
+    };
+    (scalar $s:ident ($k:ident $f:ident STATS)) => {
+        Some((stringify!($f), $s.$f, true))
+    };
+    (scalar $s:ident ($k:ident $f:ident $($x:tt)*)) => {
+        Some((stringify!($f), $s.$f, false))
+    };
+    (level $o:ident $s:ident (level $a:ident $b:ident $ra:ident $rb:ident)) => {
+        for (i, (&a, &b)) in $s.$a.iter().zip(&$s.$b).enumerate() {
+            if a > 0 || b > 0 {
+                $o.push((format!(concat!("level{}_", stringify!($ra)), i), a));
+                $o.push((format!(concat!("level{}_", stringify!($rb)), i), b));
+            }
+        }
+    };
+    ($op:ident $($x:tt)*) => {};
+}
+
+/// Sorts the table rows into the two structs that carry them, normalizing
+/// each row for `row!`, then generates the per-counter code.
+macro_rules! counters {
+    (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]) => {
+        /// Shared engine counters. Cloneable snapshots via [`DbStats::snapshot`].
+        #[derive(Debug, Default)]
+        pub struct DbStats { $($db)* }
+
+        /// Point-in-time copy of [`DbStats`], plus the engine cache's counters.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSnapshot { $($snap)* }
+
+        impl DbStats {
+            /// Copy the current counter values. The cache rows stay zero:
+            /// the cache keeps its own atomics ([`StatsSnapshot::absorb_cache`]).
+            pub fn snapshot(&self) -> StatsSnapshot {
+                let mut out = StatsSnapshot::default();
+                $( row!(load self out $row); )*
+                out
+            }
+
+            /// Fold a snapshot in (sums add, peaks take the max), so a retired
+            /// engine's counts live on in the block that absorbs its last snapshot.
+            pub(crate) fn absorb(&self, from: &StatsSnapshot) {
+                $( row!(absorb self from $row); )*
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Deltas since `earlier`. Peaks and gauges report the later value.
+            pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
+                let mut out = *self;
+                $( row!(diff out earlier $row); )*
+                out
+            }
+
+            /// Fold the engine cache's counters in. Callable once per cache (a
+            /// split-budget fleet has one per shard): all rows accumulate.
+            pub fn absorb_cache(&mut self, cache: &crate::cache::CacheStats) {
+                $( row!(cache self cache $row); )*
+            }
+
+            /// `(name, value, tagged STATS)` of every scalar row, in table order.
+            fn scalars(&self) -> impl Iterator<Item = (&'static str, u64, bool)> {
+                [$( row!(scalar self $row) ),*].into_iter().flatten()
+            }
+
+            /// `(name, value)` pairs for `MetricsSnapshot::counters`, in table
+            /// order. Per-level arrays flatten to `level{N}_…`, only for levels
+            /// that saw traffic.
+            pub fn counter_pairs(&self) -> Vec<(String, u64)> {
+                let mut out: Vec<_> = self.scalars().map(|(n, v, _)| (n.to_string(), v)).collect();
+                $( row!(level out self $row); )*
+                out
+            }
+
+            /// The counters tagged `STATS`: those the server's STATS reply
+            /// carries, in table order.
+            pub fn stats_pairs(&self) -> Vec<(&'static str, u64)> {
+                self.scalars().filter(|r| r.2).map(|(n, v, _)| (n, v)).collect()
+            }
+        }
+
+        /// Counter-wise sum: sums and gauges add, peaks take the max (a fleet's
+        /// peak is its worst shard's). Per-shard stats compose into one report.
+        impl std::ops::AddAssign for StatsSnapshot {
+            fn add_assign(&mut self, rhs: StatsSnapshot) {
+                $( row!(add self rhs $row); )*
+            }
+        }
+    };
+    (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]
+        $(#[$m:meta])* live $f:ident; $($rest:tt)*) => {
+        counters!(@munch [$($db)* $(#[$m])* pub $f: AtomicU64,] [$($snap)*] [$($row)*] $($rest)*);
+    };
+    (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]
+        $(#[$m:meta])* level $a:ident, $b:ident => $ra:ident, $rb:ident; $($rest:tt)*) => {
+        counters!(@munch
+            [$($db)* $(#[$m])* pub $a: [AtomicU64; MAX_LEVELS],
+                $(#[$m])* pub $b: [AtomicU64; MAX_LEVELS],]
+            [$($snap)* $(#[$m])* pub $a: [u64; MAX_LEVELS], $(#[$m])* pub $b: [u64; MAX_LEVELS],]
+            [$($row)* (level $a $b $ra $rb)] $($rest)*);
+    };
+    (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]
+        $(#[$m:meta])* $k:ident $f:ident = $src:ident; $($rest:tt)*) => {
+        counters!(@munch
+            [$($db)*] [$($snap)* $(#[$m])* pub $f: u64,] [$($row)* ($k $f = $src)] $($rest)*);
+    };
+    (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]
+        $(#[$m:meta])* $k:ident $f:ident $($st:ident)?; $($rest:tt)*) => {
+        counters!(@munch
+            [$($db)* $(#[$m])* pub $f: AtomicU64,] [$($snap)* $(#[$m])* pub $f: u64,]
+            [$($row)* ($k $f $($st)?)] $($rest)*);
+    };
+    ($($rows:tt)*) => { counters!(@munch [] [] [] $($rows)*); };
+}
+
+// One row per counter: `kind name [STATS];`, `cache|gauge name = CacheStats
+// field;`, or `level a, b => a_suffix, b_suffix;` for a pair of per-level
+// arrays flattened together.
+counters! {
     // Point lookup stage timers (Table 1 / Figure 7).
-    pub lookups: AtomicU64,
-    pub table_locate_ns: AtomicU64,
-    pub predict_ns: AtomicU64,
-    pub io_cpu_ns: AtomicU64,
-    pub search_ns: AtomicU64,
+    sum lookups STATS;
+    sum table_locate_ns;
+    sum predict_ns;
+    sum io_cpu_ns;
+    sum search_ns;
     // Bloom behaviour.
-    pub bloom_checks: AtomicU64,
-    pub bloom_negatives: AtomicU64,
-    // Per-level reads (Figure 10).
-    pub level_reads: [AtomicU64; MAX_LEVELS],
-    pub level_read_ns: [AtomicU64; MAX_LEVELS],
-    pub memtable_hits: AtomicU64,
-    // Write path / group commit. One `Db::write` = one batch; the writer
-    // queue fuses the batches of concurrent writers into **commit groups**
-    // (`write_groups`), each logged as one WAL record — so `wal_appends`
-    // equals `write_groups` (not `write_batches`) and the gap between
-    // `write_batches` and `write_groups` measures how much fusing the
-    // queue achieved under concurrency.
-    pub write_batches: AtomicU64,
-    pub write_entries: AtomicU64,
-    pub write_groups: AtomicU64,
-    pub wal_appends: AtomicU64,
-    pub wal_bytes: AtomicU64,
-    pub wal_syncs: AtomicU64,
-    // Compaction breakdown (Figure 9).
-    pub flushes: AtomicU64,
-    pub compactions: AtomicU64,
-    pub compact_total_ns: AtomicU64,
-    pub compact_kv_io_ns: AtomicU64,
-    pub compact_train_ns: AtomicU64,
-    pub compact_model_write_ns: AtomicU64,
-    pub compact_bytes_read: AtomicU64,
-    pub compact_bytes_written: AtomicU64,
-    // Write-amplification accounting: where maintenance traffic lands.
-    /// Sub-range merge units executed (a single-threaded compaction
-    /// counts one).
-    pub subcompactions: AtomicU64,
-    /// Bytes flushes wrote into L0 (the denominator of
-    /// [`StatsSnapshot::write_amplification`]).
-    pub flush_bytes_written: AtomicU64,
-    /// Compaction input bytes by the level they were read from.
-    pub compact_level_bytes_read: [AtomicU64; MAX_LEVELS],
-    /// Compaction output bytes by the level they were written to.
-    pub compact_level_bytes_written: [AtomicU64; MAX_LEVELS],
+    sum bloom_checks;
+    sum bloom_negatives;
+    sum memtable_hits;
+    // Write path. One `Db::write` is one batch; concurrent batches fuse into
+    // commit groups of one WAL record each (`wal_appends` == `write_groups`).
+    sum write_batches STATS;
+    sum write_entries STATS;
+    sum write_groups;
+    sum wal_appends;
+    sum wal_bytes;
+    sum wal_syncs STATS;
+    // Compaction breakdown (Figure 9) and write-amplification accounting.
+    sum flushes STATS;
+    /// Bytes flushes wrote into L0: the write-amplification denominator.
+    sum flush_bytes_written STATS;
+    sum compactions STATS;
+    /// Sub-range merge units executed (a single-threaded compaction counts one).
+    sum subcompactions STATS;
+    sum compact_total_ns;
+    sum compact_kv_io_ns;
+    sum compact_train_ns;
+    sum compact_model_write_ns;
+    sum compact_bytes_read STATS;
+    sum compact_bytes_written STATS;
     // Range scans (Figure 11).
-    pub scans: AtomicU64,
-    pub scan_entries: AtomicU64,
-    // Background maintenance (`Maintenance::Background`): write
-    // backpressure and worker activity.
+    sum scans STATS;
+    sum scan_entries;
+    // Background maintenance: write backpressure and worker activity.
     /// Writes delayed ~1 ms because L0 reached `l0_slowdown_trigger`.
-    pub stall_slowdowns: AtomicU64,
-    /// Write stalls that blocked until maintenance caught up (L0 at
-    /// `l0_stop_trigger`, or the immutable-memtable queue full).
-    pub stall_stops: AtomicU64,
+    sum stall_slowdowns STATS;
+    /// Writes blocked until maintenance caught up (L0 at `l0_stop_trigger`, or imm queue full).
+    sum stall_stops STATS;
     /// Total wall time writers spent stalled (both kinds), in ns.
-    pub stall_ns: AtomicU64,
+    sum stall_ns;
     /// Memtable rotations onto the immutable queue.
-    pub imm_rotations: AtomicU64,
+    sum imm_rotations;
     /// High-water mark of the immutable-memtable queue depth.
-    pub imm_queue_peak: AtomicU64,
+    peak imm_queue_peak;
     /// Busy time of background flush workers, in ns.
-    pub bg_flush_ns: AtomicU64,
+    sum bg_flush_ns;
     /// Busy time of background compaction workers, in ns.
-    pub bg_compact_ns: AtomicU64,
-    /// Errors surfaced by background workers (the last one is also kept by
-    /// the Db for inspection).
-    pub bg_errors: AtomicU64,
-    /// Writes that completed while at least one background worker was busy
-    /// — the counter that proves foreground/maintenance overlap.
-    pub writes_during_maintenance: AtomicU64,
-    /// Live shard splits completed by the sharding layer (counted on the
-    /// [`crate::sharding::ShardedDb`]'s own stats block, merged into
-    /// `ShardedDb::stats()`).
-    pub shard_splits: AtomicU64,
-    /// Runtime commit-marker log checkpoints (markers below the flush
-    /// watermark dropped without a reopen).
-    pub commit_checkpoints: AtomicU64,
-    /// Gauge: background workers currently executing a flush or compaction
-    /// (not part of [`StatsSnapshot`]; read via
-    /// [`DbStats::active_background_workers`]).
-    pub bg_active: AtomicU64,
-    /// Gauge: writers currently blocked in a hard stop (not part of
-    /// [`StatsSnapshot`]; read via [`DbStats::stalled_writers`]).
-    pub stalled_now: AtomicU64,
+    sum bg_compact_ns;
+    /// Errors surfaced by background workers (the Db keeps the last one).
+    sum bg_errors;
+    /// Writes completed while a background worker was busy: proves the overlap.
+    sum writes_during_maintenance;
+    /// Live shard splits completed by the sharding layer.
+    sum shard_splits STATS;
+    /// Commit-marker log checkpoints taken at runtime, without a reopen.
+    sum commit_checkpoints;
+    // Engine-cache counters, absorbed from the cache's own atomics.
+    cache cache_block_hits = block_hits;
+    cache cache_block_misses = block_misses;
+    cache cache_block_evictions = block_evictions;
+    cache cache_table_hits = table_hits;
+    cache cache_table_misses = table_misses;
+    /// Bytes currently charged to the cache.
+    gauge cache_used_bytes = used_bytes;
+    /// The cache's byte ceiling.
+    gauge cache_capacity_bytes = capacity_bytes;
+    /// Reads served by each level, and their time in ns (Figure 10).
+    level level_reads, level_read_ns => reads, read_ns;
+    /// Compaction bytes by the level they were read from / written to.
+    level compact_level_bytes_read, compact_level_bytes_written
+        => compact_bytes_read, compact_bytes_written;
+    /// Background workers busy now; see [`DbStats::active_background_workers`].
+    live bg_active;
+    /// Writers blocked in a hard stop now; see [`DbStats::stalled_writers`].
+    live stalled_now;
 }
 
 impl DbStats {
@@ -109,281 +283,80 @@ impl DbStats {
 
     #[inline]
     pub(crate) fn add_predict_ns(&self, ns: u64) {
-        self.predict_ns.fetch_add(ns, Ordering::Relaxed);
+        self.predict_ns.fetch_add(ns, Relaxed);
     }
 
     #[inline]
     pub(crate) fn add_io_cpu_ns(&self, ns: u64) {
-        self.io_cpu_ns.fetch_add(ns, Ordering::Relaxed);
+        self.io_cpu_ns.fetch_add(ns, Relaxed);
     }
 
     #[inline]
     pub(crate) fn add_search_ns(&self, ns: u64) {
-        self.search_ns.fetch_add(ns, Ordering::Relaxed);
+        self.search_ns.fetch_add(ns, Relaxed);
     }
 
     /// Record one read that was served by level `level`.
     pub(crate) fn record_level_read(&self, level: usize, ns: u64) {
         if level < MAX_LEVELS {
-            self.level_reads[level].fetch_add(1, Ordering::Relaxed);
-            self.level_read_ns[level].fetch_add(ns, Ordering::Relaxed);
+            self.level_reads[level].fetch_add(1, Relaxed);
+            self.level_read_ns[level].fetch_add(ns, Relaxed);
         }
     }
 
     /// Attribute compaction input bytes to the level they were read from.
     pub(crate) fn record_compact_read(&self, level: usize, bytes: u64) {
         if level < MAX_LEVELS {
-            self.compact_level_bytes_read[level].fetch_add(bytes, Ordering::Relaxed);
+            self.compact_level_bytes_read[level].fetch_add(bytes, Relaxed);
         }
     }
 
     /// Attribute compaction output bytes to the level they were written to.
     pub(crate) fn record_compact_write(&self, level: usize, bytes: u64) {
         if level < MAX_LEVELS {
-            self.compact_level_bytes_written[level].fetch_add(bytes, Ordering::Relaxed);
+            self.compact_level_bytes_written[level].fetch_add(bytes, Relaxed);
         }
     }
 
     /// Record a memtable rotation that left the immutable queue `depth` deep.
     pub(crate) fn record_rotation(&self, depth: usize) {
-        self.imm_rotations.fetch_add(1, Ordering::Relaxed);
-        self.imm_queue_peak
-            .fetch_max(depth as u64, Ordering::Relaxed);
+        self.imm_rotations.fetch_add(1, Relaxed);
+        self.imm_queue_peak.fetch_max(depth as u64, Relaxed);
     }
 
     /// Record one writer stall of `ns` wall time. `stopped` distinguishes a
     /// hard stop (blocked on maintenance) from a slowdown delay.
     pub(crate) fn record_stall(&self, stopped: bool, ns: u64) {
         if stopped {
-            self.stall_stops.fetch_add(1, Ordering::Relaxed);
+            self.stall_stops.fetch_add(1, Relaxed);
         } else {
-            self.stall_slowdowns.fetch_add(1, Ordering::Relaxed);
+            self.stall_slowdowns.fetch_add(1, Relaxed);
         }
-        self.stall_ns.fetch_add(ns, Ordering::Relaxed);
+        self.stall_ns.fetch_add(ns, Relaxed);
     }
 
     /// Background workers currently executing a flush or compaction.
     pub fn active_background_workers(&self) -> u64 {
-        self.bg_active.load(Ordering::Relaxed)
+        self.bg_active.load(Relaxed)
     }
 
     /// Writers currently blocked in a hard stop (stop trigger / queue
     /// full), waiting for maintenance to catch up.
     pub fn stalled_writers(&self) -> u64 {
-        self.stalled_now.load(Ordering::Relaxed)
+        self.stalled_now.load(Relaxed)
     }
 
     /// Sum the current counters of several stats blocks into one snapshot —
     /// the per-shard → whole-engine aggregation behind
     /// `ShardedDb::stats()`, usable standalone for any fleet of engines.
-    /// High-water marks (`imm_queue_peak`) take the maximum instead.
     pub fn merged<'a>(stats: impl IntoIterator<Item = &'a DbStats>) -> StatsSnapshot {
         stats
             .into_iter()
-            .map(DbStats::snapshot)
-            .fold(StatsSnapshot::default(), |acc, s| acc + s)
+            .fold(StatsSnapshot::default(), |acc, s| acc + s.snapshot())
     }
-
-    /// Copy the current counter values.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let lv = |a: &[AtomicU64; MAX_LEVELS]| {
-            let mut out = [0u64; MAX_LEVELS];
-            for (o, x) in out.iter_mut().zip(a.iter()) {
-                *o = x.load(Ordering::Relaxed);
-            }
-            out
-        };
-        StatsSnapshot {
-            lookups: self.lookups.load(Ordering::Relaxed),
-            table_locate_ns: self.table_locate_ns.load(Ordering::Relaxed),
-            predict_ns: self.predict_ns.load(Ordering::Relaxed),
-            io_cpu_ns: self.io_cpu_ns.load(Ordering::Relaxed),
-            search_ns: self.search_ns.load(Ordering::Relaxed),
-            bloom_checks: self.bloom_checks.load(Ordering::Relaxed),
-            bloom_negatives: self.bloom_negatives.load(Ordering::Relaxed),
-            level_reads: lv(&self.level_reads),
-            level_read_ns: lv(&self.level_read_ns),
-            memtable_hits: self.memtable_hits.load(Ordering::Relaxed),
-            write_batches: self.write_batches.load(Ordering::Relaxed),
-            write_entries: self.write_entries.load(Ordering::Relaxed),
-            write_groups: self.write_groups.load(Ordering::Relaxed),
-            wal_appends: self.wal_appends.load(Ordering::Relaxed),
-            wal_bytes: self.wal_bytes.load(Ordering::Relaxed),
-            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
-            flushes: self.flushes.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            compact_total_ns: self.compact_total_ns.load(Ordering::Relaxed),
-            compact_kv_io_ns: self.compact_kv_io_ns.load(Ordering::Relaxed),
-            compact_train_ns: self.compact_train_ns.load(Ordering::Relaxed),
-            compact_model_write_ns: self.compact_model_write_ns.load(Ordering::Relaxed),
-            compact_bytes_read: self.compact_bytes_read.load(Ordering::Relaxed),
-            compact_bytes_written: self.compact_bytes_written.load(Ordering::Relaxed),
-            subcompactions: self.subcompactions.load(Ordering::Relaxed),
-            flush_bytes_written: self.flush_bytes_written.load(Ordering::Relaxed),
-            compact_level_bytes_read: lv(&self.compact_level_bytes_read),
-            compact_level_bytes_written: lv(&self.compact_level_bytes_written),
-            scans: self.scans.load(Ordering::Relaxed),
-            scan_entries: self.scan_entries.load(Ordering::Relaxed),
-            stall_slowdowns: self.stall_slowdowns.load(Ordering::Relaxed),
-            stall_stops: self.stall_stops.load(Ordering::Relaxed),
-            stall_ns: self.stall_ns.load(Ordering::Relaxed),
-            imm_rotations: self.imm_rotations.load(Ordering::Relaxed),
-            imm_queue_peak: self.imm_queue_peak.load(Ordering::Relaxed),
-            bg_flush_ns: self.bg_flush_ns.load(Ordering::Relaxed),
-            bg_compact_ns: self.bg_compact_ns.load(Ordering::Relaxed),
-            bg_errors: self.bg_errors.load(Ordering::Relaxed),
-            writes_during_maintenance: self.writes_during_maintenance.load(Ordering::Relaxed),
-            shard_splits: self.shard_splits.load(Ordering::Relaxed),
-            commit_checkpoints: self.commit_checkpoints.load(Ordering::Relaxed),
-            // The engine cache keeps its own atomics; callers fold them in
-            // with `StatsSnapshot::absorb_cache`.
-            ..StatsSnapshot::default()
-        }
-    }
-}
-
-/// Point-in-time copy of [`DbStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSnapshot {
-    pub lookups: u64,
-    pub table_locate_ns: u64,
-    pub predict_ns: u64,
-    pub io_cpu_ns: u64,
-    pub search_ns: u64,
-    pub bloom_checks: u64,
-    pub bloom_negatives: u64,
-    pub level_reads: [u64; MAX_LEVELS],
-    pub level_read_ns: [u64; MAX_LEVELS],
-    pub memtable_hits: u64,
-    pub write_batches: u64,
-    pub write_entries: u64,
-    pub write_groups: u64,
-    pub wal_appends: u64,
-    pub wal_bytes: u64,
-    pub wal_syncs: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub compact_total_ns: u64,
-    pub compact_kv_io_ns: u64,
-    pub compact_train_ns: u64,
-    pub compact_model_write_ns: u64,
-    pub compact_bytes_read: u64,
-    pub compact_bytes_written: u64,
-    /// Sub-range merge units executed (one per compaction at
-    /// `max_subcompactions = 1`).
-    pub subcompactions: u64,
-    /// Bytes flushes wrote into L0.
-    pub flush_bytes_written: u64,
-    /// Compaction input bytes by source level.
-    pub compact_level_bytes_read: [u64; MAX_LEVELS],
-    /// Compaction output bytes by destination level.
-    pub compact_level_bytes_written: [u64; MAX_LEVELS],
-    pub scans: u64,
-    pub scan_entries: u64,
-    pub stall_slowdowns: u64,
-    pub stall_stops: u64,
-    pub stall_ns: u64,
-    pub imm_rotations: u64,
-    /// High-water mark (monotone, not a delta-friendly counter —
-    /// [`StatsSnapshot::since`] reports the later value).
-    pub imm_queue_peak: u64,
-    pub bg_flush_ns: u64,
-    pub bg_compact_ns: u64,
-    pub bg_errors: u64,
-    pub writes_during_maintenance: u64,
-    pub shard_splits: u64,
-    pub commit_checkpoints: u64,
-    // --- engine-cache counters, absorbed from the shared cache via
-    // [`StatsSnapshot::absorb_cache`] (the cache keeps its own atomics;
-    // `DbStats` never sees them, so `snapshot()` leaves these zero).
-    pub cache_block_hits: u64,
-    pub cache_block_misses: u64,
-    pub cache_block_evictions: u64,
-    pub cache_table_hits: u64,
-    pub cache_table_misses: u64,
-    /// Gauge (bytes currently charged) — [`StatsSnapshot::since`] keeps
-    /// the later value; summing snapshots adds (private per-shard caches
-    /// combine into the fleet's total footprint).
-    pub cache_used_bytes: u64,
-    /// Gauge (the byte ceiling) — same diff/merge rules as
-    /// `cache_used_bytes`.
-    pub cache_capacity_bytes: u64,
 }
 
 impl StatsSnapshot {
-    /// Deltas since `earlier`.
-    pub fn since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let mut out = *self;
-        out.lookups -= earlier.lookups;
-        out.table_locate_ns -= earlier.table_locate_ns;
-        out.predict_ns -= earlier.predict_ns;
-        out.io_cpu_ns -= earlier.io_cpu_ns;
-        out.search_ns -= earlier.search_ns;
-        out.bloom_checks -= earlier.bloom_checks;
-        out.bloom_negatives -= earlier.bloom_negatives;
-        for i in 0..MAX_LEVELS {
-            out.level_reads[i] -= earlier.level_reads[i];
-            out.level_read_ns[i] -= earlier.level_read_ns[i];
-        }
-        out.memtable_hits -= earlier.memtable_hits;
-        out.write_batches -= earlier.write_batches;
-        out.write_entries -= earlier.write_entries;
-        out.write_groups -= earlier.write_groups;
-        out.wal_appends -= earlier.wal_appends;
-        out.wal_bytes -= earlier.wal_bytes;
-        out.wal_syncs -= earlier.wal_syncs;
-        out.flushes -= earlier.flushes;
-        out.compactions -= earlier.compactions;
-        out.compact_total_ns -= earlier.compact_total_ns;
-        out.compact_kv_io_ns -= earlier.compact_kv_io_ns;
-        out.compact_train_ns -= earlier.compact_train_ns;
-        out.compact_model_write_ns -= earlier.compact_model_write_ns;
-        out.compact_bytes_read -= earlier.compact_bytes_read;
-        out.compact_bytes_written -= earlier.compact_bytes_written;
-        out.subcompactions -= earlier.subcompactions;
-        out.flush_bytes_written -= earlier.flush_bytes_written;
-        for i in 0..MAX_LEVELS {
-            out.compact_level_bytes_read[i] -= earlier.compact_level_bytes_read[i];
-            out.compact_level_bytes_written[i] -= earlier.compact_level_bytes_written[i];
-        }
-        out.scans -= earlier.scans;
-        out.scan_entries -= earlier.scan_entries;
-        out.stall_slowdowns -= earlier.stall_slowdowns;
-        out.stall_stops -= earlier.stall_stops;
-        out.stall_ns -= earlier.stall_ns;
-        out.imm_rotations -= earlier.imm_rotations;
-        // Peak is a high-water mark, not a counter: keep the later value.
-        out.imm_queue_peak = self.imm_queue_peak;
-        out.bg_flush_ns -= earlier.bg_flush_ns;
-        out.bg_compact_ns -= earlier.bg_compact_ns;
-        out.bg_errors -= earlier.bg_errors;
-        out.writes_during_maintenance -= earlier.writes_during_maintenance;
-        out.shard_splits -= earlier.shard_splits;
-        out.commit_checkpoints -= earlier.commit_checkpoints;
-        out.cache_block_hits -= earlier.cache_block_hits;
-        out.cache_block_misses -= earlier.cache_block_misses;
-        out.cache_block_evictions -= earlier.cache_block_evictions;
-        out.cache_table_hits -= earlier.cache_table_hits;
-        out.cache_table_misses -= earlier.cache_table_misses;
-        // Gauges, not counters: report the later reading.
-        out.cache_used_bytes = self.cache_used_bytes;
-        out.cache_capacity_bytes = self.cache_capacity_bytes;
-        out
-    }
-
-    /// Fold the engine cache's counters into this snapshot. Callable more
-    /// than once (a split-budget fleet absorbs one [`CacheStats`](crate::cache::CacheStats) per
-    /// shard): counters and byte gauges accumulate.
-    pub fn absorb_cache(&mut self, cache: &crate::cache::CacheStats) {
-        self.cache_block_hits += cache.block_hits;
-        self.cache_block_misses += cache.block_misses;
-        self.cache_block_evictions += cache.block_evictions;
-        self.cache_table_hits += cache.table_hits;
-        self.cache_table_misses += cache.table_misses;
-        self.cache_used_bytes += cache.used_bytes;
-        self.cache_capacity_bytes += cache.capacity_bytes;
-    }
-
     /// Sum a set of snapshots (e.g. one per shard) into one report.
     /// Equivalent to folding with `+`.
     pub fn merged(parts: &[StatsSnapshot]) -> StatsSnapshot {
@@ -392,93 +365,15 @@ impl StatsSnapshot {
             .fold(StatsSnapshot::default(), |acc, s| acc + *s)
     }
 
-    /// Flatten into `(name, value)` pairs for the metrics surface
-    /// (`MetricsSnapshot::counters`). Scalar counters keep their field
-    /// names; the per-level arrays flatten to `level{N}_reads` /
-    /// `level{N}_read_ns`, emitted only for levels that saw traffic so a
-    /// scrape of a small tree is not 24 lines of zeros.
-    pub fn counter_pairs(&self) -> Vec<(String, u64)> {
-        macro_rules! pairs {
-            ($($f:ident),* $(,)?) => {
-                vec![ $( (stringify!($f).to_string(), self.$f) ),* ]
-            }
-        }
-        let mut out = pairs!(
-            lookups,
-            table_locate_ns,
-            predict_ns,
-            io_cpu_ns,
-            search_ns,
-            bloom_checks,
-            bloom_negatives,
-            memtable_hits,
-            write_batches,
-            write_entries,
-            write_groups,
-            wal_appends,
-            wal_bytes,
-            wal_syncs,
-            flushes,
-            flush_bytes_written,
-            compactions,
-            subcompactions,
-            compact_total_ns,
-            compact_kv_io_ns,
-            compact_train_ns,
-            compact_model_write_ns,
-            compact_bytes_read,
-            compact_bytes_written,
-            scans,
-            scan_entries,
-            stall_slowdowns,
-            stall_stops,
-            stall_ns,
-            imm_rotations,
-            imm_queue_peak,
-            bg_flush_ns,
-            bg_compact_ns,
-            bg_errors,
-            writes_during_maintenance,
-            shard_splits,
-            commit_checkpoints,
-            cache_block_hits,
-            cache_block_misses,
-            cache_block_evictions,
-            cache_table_hits,
-            cache_table_misses,
-            cache_used_bytes,
-            cache_capacity_bytes,
-        );
-        for (i, (&n, &ns)) in self.level_reads.iter().zip(&self.level_read_ns).enumerate() {
-            if n > 0 || ns > 0 {
-                out.push((format!("level{i}_reads"), n));
-                out.push((format!("level{i}_read_ns"), ns));
-            }
-        }
-        // Per-level write-amp attribution, same nonzero-only flattening.
-        for (i, (&r, &w)) in self
-            .compact_level_bytes_read
-            .iter()
-            .zip(&self.compact_level_bytes_written)
-            .enumerate()
-        {
-            if r > 0 || w > 0 {
-                out.push((format!("level{i}_compact_bytes_read"), r));
-                out.push((format!("level{i}_compact_bytes_written"), w));
-            }
-        }
-        out
-    }
-
     /// Device write amplification of the maintenance pipeline: every byte
     /// written by flushes and compactions, per byte of user data flushed.
     /// `1.0` means no compaction traffic yet; `0.0` means nothing flushed.
     pub fn write_amplification(&self) -> f64 {
-        if self.flush_bytes_written == 0 {
+        let (flushed, compacted) = (self.flush_bytes_written, self.compact_bytes_written);
+        if flushed == 0 {
             return 0.0;
         }
-        (self.flush_bytes_written + self.compact_bytes_written) as f64
-            / self.flush_bytes_written as f64
+        (flushed + compacted) as f64 / flushed as f64
     }
 
     /// The lookup breakdown of Table 1, averaged per lookup (ns).
@@ -500,70 +395,6 @@ impl StatsSnapshot {
             train_ns: self.compact_train_ns,
             model_write_ns: self.compact_model_write_ns,
         }
-    }
-}
-
-/// Counter-wise sum: every additive counter adds; the high-water mark
-/// `imm_queue_peak` takes the maximum (the peak of a fleet is the worst
-/// shard's peak, not the sum). This is what makes per-shard stats
-/// composable into one engine-level report.
-impl std::ops::AddAssign for StatsSnapshot {
-    fn add_assign(&mut self, rhs: StatsSnapshot) {
-        macro_rules! add_fields {
-            ($($f:ident),* $(,)?) => { $( self.$f += rhs.$f; )* }
-        }
-        add_fields!(
-            lookups,
-            table_locate_ns,
-            predict_ns,
-            io_cpu_ns,
-            search_ns,
-            bloom_checks,
-            bloom_negatives,
-            memtable_hits,
-            write_batches,
-            write_entries,
-            write_groups,
-            wal_appends,
-            wal_bytes,
-            wal_syncs,
-            flushes,
-            compactions,
-            compact_total_ns,
-            compact_kv_io_ns,
-            compact_train_ns,
-            compact_model_write_ns,
-            compact_bytes_read,
-            compact_bytes_written,
-            subcompactions,
-            flush_bytes_written,
-            scans,
-            scan_entries,
-            stall_slowdowns,
-            stall_stops,
-            stall_ns,
-            imm_rotations,
-            bg_flush_ns,
-            bg_compact_ns,
-            bg_errors,
-            writes_during_maintenance,
-            shard_splits,
-            commit_checkpoints,
-            cache_block_hits,
-            cache_block_misses,
-            cache_block_evictions,
-            cache_table_hits,
-            cache_table_misses,
-            cache_used_bytes,
-            cache_capacity_bytes,
-        );
-        for i in 0..MAX_LEVELS {
-            self.level_reads[i] += rhs.level_reads[i];
-            self.level_read_ns[i] += rhs.level_read_ns[i];
-            self.compact_level_bytes_read[i] += rhs.compact_level_bytes_read[i];
-            self.compact_level_bytes_written[i] += rhs.compact_level_bytes_written[i];
-        }
-        self.imm_queue_peak = self.imm_queue_peak.max(rhs.imm_queue_peak);
     }
 }
 
@@ -609,6 +440,7 @@ impl CompactionBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn snapshot_diffs() {

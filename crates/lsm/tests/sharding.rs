@@ -727,6 +727,52 @@ fn zipfian_stream_triggers_live_splits_and_rebalances_within_20pct() {
     assert_eq!(got, want, "reopen after splits lost data");
 }
 
+/// A live split retires the parent shard, but not its counts: the merged
+/// counters of `ShardedDb::stats()` never fall across a cutover (a METRICS
+/// scrape sees no counter reset, `since` never underflows), and every get
+/// issued is counted exactly once.
+#[test]
+fn merged_counters_are_monotone_across_live_splits() {
+    let uniform_sample: Vec<u64> = (0..4096u64).map(|i| i << 32).collect();
+    let opts = ShardedOptions::learned(2, uniform_sample, base_opts())
+        .with_max_shards(20)
+        .with_split_trigger(0.10, 128 << 10);
+    let db = ShardedDb::open_memory(opts).unwrap();
+    let chooser = RequestDistribution::Zipfian { theta: 0.99 }.chooser(1 << 20);
+    let mut rng = StdRng::seed_from_u64(0x511);
+    // Gauges may fall; every other counter must not.
+    let counters = |db: &ShardedDb| -> Vec<(String, u64)> {
+        let mut pairs = db.stats().counter_pairs();
+        pairs.retain(|(n, _)| !matches!(n.as_str(), "cache_used_bytes" | "cache_capacity_bytes"));
+        pairs
+    };
+    let mut before = counters(&db);
+    let mut cutovers = 0;
+    for i in 0..25_000u64 {
+        let k = ((chooser.next(&mut rng) as u64) << 24) | rng.gen_range(0..1u64 << 24);
+        let epoch = db.topology_epoch();
+        db.put(k, &i.to_le_bytes()).unwrap();
+        assert!(db.get(k).unwrap().is_some());
+        if db.topology_epoch() == epoch {
+            continue;
+        }
+        cutovers += 1;
+        let after = counters(&db);
+        for (name, old) in &before {
+            let new = after.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+            assert!(
+                new >= *old,
+                "{name} fell from {old} to {new} across the cutover after write {i}"
+            );
+        }
+        before = after;
+    }
+    assert!(cutovers >= 3, "only {cutovers} live splits fired");
+    let merged = db.stats();
+    assert_eq!(merged.shard_splits, cutovers);
+    assert_eq!(merged.lookups, 25_000, "every get counted exactly once");
+}
+
 /// Split crash matrix: crash at **every** storage-operation boundary of a
 /// full live split (begin → drain → cutover), reopen from the frozen
 /// image, and require all-or-nothing topology cutover — the store is

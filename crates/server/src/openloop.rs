@@ -16,8 +16,8 @@
 use std::time::{Duration, Instant};
 
 use crate::client::{Client, ClientError, Result};
-use crate::hist::LatencyHistogram;
 use crate::protocol::{Request, Response, ServerError};
+use lsm_obs::LatencyHistogram;
 
 /// What one open-loop run measured.
 pub struct OpenLoopSummary {

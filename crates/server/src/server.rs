@@ -516,57 +516,29 @@ fn map_engine_error(db: &ShardedDb, opts: &ServerOptions, e: LsmError) -> Respon
     }
 }
 
-/// Render [`ShardedStats`] as a JSON object (hand-built: the engine's
-/// stats types carry no serde impls, and the wire format only needs a
-/// stable read-only rendering).
-pub(crate) fn stats_json(s: &ShardedStats) -> String {
-    fn num_list<T: std::fmt::Display>(xs: &[T]) -> String {
-        let mut out = String::from("[");
-        for (i, x) in xs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&x.to_string());
-        }
-        out.push(']');
-        out
+/// Render [`ShardedStats`] as a JSON object: the topology fields, the
+/// counters the stats table tags `STATS`, and write amplification.
+fn stats_json(s: &ShardedStats) -> String {
+    let mut counters = String::new();
+    for (name, value) in s.merged.stats_pairs() {
+        counters += &format!(",\"{name}\":{value}");
     }
-    let m = &s.merged;
+    // `{:?}` of an integer `Vec` is a valid JSON array.
     format!(
         concat!(
-            "{{\"topology_epoch\":{},\"shard_ids\":{},\"resident_bytes\":{},",
-            "\"resident_entries\":{},\"resident_imbalance\":{:.6},",
-            "\"observed_imbalance\":{:.6},\"observed_keys\":{},",
-            "\"live_commit_markers\":{},\"lookups\":{},\"write_batches\":{},",
-            "\"write_entries\":{},\"wal_syncs\":{},\"flushes\":{},",
-            "\"compactions\":{},\"subcompactions\":{},",
-            "\"flush_bytes_written\":{},\"compact_bytes_read\":{},",
-            "\"compact_bytes_written\":{},\"write_amplification\":{:.3},",
-            "\"scans\":{},\"stall_slowdowns\":{},",
-            "\"stall_stops\":{},\"shard_splits\":{}}}"
+            "{{\"topology_epoch\":{},\"shard_ids\":{:?},\"resident_bytes\":{:?},",
+            "\"resident_entries\":{:?},\"resident_imbalance\":{:.6},\"observed_imbalance\":{:.6},",
+            "\"observed_keys\":{},\"live_commit_markers\":{}{},\"write_amplification\":{:.3}}}"
         ),
         s.topology_epoch,
-        num_list(&s.shard_ids),
-        num_list(&s.resident_bytes),
-        num_list(&s.resident_entries),
+        s.shard_ids,
+        s.resident_bytes,
+        s.resident_entries,
         s.resident_imbalance,
         s.observed_imbalance,
         s.observed_keys,
         s.live_commit_markers,
-        m.lookups,
-        m.write_batches,
-        m.write_entries,
-        m.wal_syncs,
-        m.flushes,
-        m.compactions,
-        m.subcompactions,
-        m.flush_bytes_written,
-        m.compact_bytes_read,
-        m.compact_bytes_written,
-        m.write_amplification(),
-        m.scans,
-        m.stall_slowdowns,
-        m.stall_stops,
-        m.shard_splits,
+        counters,
+        s.merged.write_amplification(),
     )
 }

@@ -325,6 +325,59 @@ fn close_answers_in_flight_requests_before_releasing_the_engine() {
     assert_eq!(concluded, 100, "every request gets a typed conclusion");
 }
 
+/// `close` returns within a fixed deadline whatever its connections are
+/// doing: idle ones that never send a byte, one mid-pipeline, and a dial
+/// that lands while `close` runs. A regression fails here instead of
+/// hanging the suite.
+#[test]
+fn close_returns_within_a_deadline_with_idle_busy_and_dialing_connections() {
+    let (server, connector) = mem_server(2);
+    let idle: Vec<_> = (0..4)
+        .map(|_| connector.connect().expect("dial idle"))
+        .collect();
+    let client = Client::new(connector.connect().expect("dial busy"));
+    let ids: Vec<u64> = (0..200u64)
+        .map(|k| {
+            client
+                .submit(&Request::Put {
+                    key: k,
+                    value: vec![b'p'; 16],
+                    durable: false,
+                })
+                .expect("submit")
+        })
+        .collect();
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let closer = std::thread::spawn(move || done_tx.send(server.close()).expect("report"));
+    // Dial (and keep every connection open) until the listener refuses:
+    // some of these land while `close` is accepting or has just closed.
+    let dialer = std::thread::spawn(move || {
+        (0..50)
+            .map_while(|_| connector.connect().ok())
+            .collect::<Vec<_>>()
+    });
+    let closed = done_rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("Server::close did not return within 20 s");
+    closed.expect("close");
+    closer.join().expect("closer panicked");
+    let late = dialer.join().expect("dialer panicked");
+
+    // Every pipelined request still gets a typed conclusion: committed,
+    // shed by admission control, or refused for the shutdown.
+    for id in ids {
+        let resp = client.wait(id);
+        let typed = matches!(
+            resp,
+            Ok(Response::Committed { .. }
+                | Response::Error(ServerError::RetryAfter { .. } | ServerError::ShuttingDown(_)))
+        );
+        assert!(typed, "pipelined request {id} got {resp:?}");
+    }
+    drop((idle, late));
+}
+
 #[test]
 fn corrupt_frames_get_typed_errors_or_clean_disconnects() {
     let (server, connector) = mem_server(1);
