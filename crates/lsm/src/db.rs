@@ -303,8 +303,6 @@ pub(crate) struct CommitCoordination {
     /// flushes are refused so the orphaned fragments can neither become
     /// visible nor durable in this process (reopen to recover).
     pub poisoned: AtomicBool,
-    /// Snapshot pins blocked on `lock`; commits let them in first.
-    pins_waiting: AtomicUsize,
 }
 
 impl CommitCoordination {
@@ -316,26 +314,6 @@ impl CommitCoordination {
         let guard = self.lock.lock();
         self.check_poisoned()?;
         Ok(guard)
-    }
-
-    /// [`CommitCoordination::enter`] for a commit: a snapshot pin waiting
-    /// for the lock goes first. The lock is not fair, so a writer that
-    /// commits back to back would otherwise re-take it ahead of the woken
-    /// pin again and again, stalling a coherent snapshot for tens of ms.
-    pub(crate) fn enter_commit(&self) -> Result<parking_lot::MutexGuard<'_, ()>> {
-        while self.pins_waiting.load(Ordering::Relaxed) > 0 {
-            std::thread::yield_now();
-        }
-        self.enter()
-    }
-
-    /// Take the lock for a snapshot pin, announced to
-    /// [`CommitCoordination::enter_commit`] while it waits.
-    pub(crate) fn lock_for_pin(&self) -> parking_lot::MutexGuard<'_, ()> {
-        self.pins_waiting.fetch_add(1, Ordering::Relaxed);
-        let guard = self.lock.lock();
-        self.pins_waiting.fetch_sub(1, Ordering::Relaxed);
-        guard
     }
 
     /// Non-blocking [`CommitCoordination::enter`]: `Ok(None)` when the

@@ -169,7 +169,7 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use crate::batch::WriteBatch;
-use crate::cache::EngineCache;
+use crate::cache::{CacheStats, EngineCache};
 use crate::db::{CommitCoordination, Db, DbCore, ExternalPool};
 use crate::options::{Maintenance, ReadOptions, ShardedOptions, WriteOptions};
 use crate::scheduler::{MaintSignal, Scheduler, Step};
@@ -391,8 +391,12 @@ struct ShardedCore {
     /// Decaying sample of routed keys (fed under the commit lock).
     sampler: Mutex<TrafficSampler>,
     /// The sharding layer's own counters (splits, checkpoints), merged
-    /// into [`ShardedDb::stats`] alongside the per-shard blocks.
+    /// into [`ShardedDb::stats`] alongside the per-shard blocks. Every
+    /// split parent's final counts are folded in at its cutover.
     own_stats: DbStats,
+    /// Cache counters of split parents' private caches (split-budget
+    /// baseline only), folded in at cutover; the gauges stay zero.
+    retired_caches: Mutex<StatsSnapshot>,
     /// The shared event sink when `opts.base.observability` is on. Every
     /// shard's [`EngineObs`] emits into this one ring; the sharding
     /// layer's own lifecycle events (splits, checkpoints) are tagged
@@ -625,6 +629,7 @@ impl ShardedDb {
             pending: Mutex::new(None),
             sampler: Mutex::new(TrafficSampler::default()),
             own_stats: DbStats::new(),
+            retired_caches: Mutex::new(StatsSnapshot::default()),
             observer,
             next_shard_id,
             worker_cores: RwLock::new(Arc::new(worker_cores)),
@@ -797,7 +802,7 @@ impl ShardedDb {
     /// — and a split publishing a new epoch later leaves the handle
     /// reading the shard set it pinned.
     pub fn snapshot(&self) -> ShardedSnapshot {
-        let _commit = self.core.coordination.lock_for_pin();
+        let _commit = self.core.coordination.lock.lock();
         let state = self.core.current_state();
         let seq = self.core.fence.visible.load(Ordering::Acquire);
         ShardedSnapshot {
@@ -1052,17 +1057,14 @@ impl ShardedDb {
 
     /// Engine counters summed across every shard plus the sharding
     /// layer's own (peaks take the max) — [`DbStats::merged`] over the
-    /// per-shard blocks. `own_stats` also carries every split parent's
-    /// final counts, so merged counters never fall across a split.
+    /// per-shard blocks. Every split parent's final counts are kept, so
+    /// merged counters never fall across a split.
     pub fn stats(&self) -> StatsSnapshot {
-        // Under the routing lock, which a cutover holds while it folds the
-        // retired parent into `own_stats`.
-        let (state, mut snap) = {
-            let state = self.core.state.read();
-            let shards = state.shards.iter().map(|d| d.stats());
-            let own = std::iter::once(&self.core.own_stats);
-            (Arc::clone(&state), DbStats::merged(shards.chain(own)))
-        };
+        // All under the routing lock, which a cutover holds while it folds
+        // the retired parent into `own_stats` and `retired_caches`.
+        let state = self.core.state.read();
+        let shards = state.shards.iter().map(|d| d.stats());
+        let mut snap = DbStats::merged(shards.chain(std::iter::once(&self.core.own_stats)));
         // Cache counters live in the cache itself, not in any `DbStats`
         // block: absorb the shared cache once, or each shard's private
         // cache under the split-budget baseline.
@@ -1074,6 +1076,7 @@ impl ShardedDb {
                     snap.absorb_cache(&cache.stats());
                 }
             }
+            snap += *self.core.retired_caches.lock();
         }
         snap
     }
@@ -1240,7 +1243,7 @@ impl ShardedCore {
         // here while another commit failed must not proceed — it would
         // re-allocate the failed batch's sequence range and could publish
         // a fence past the orphaned sub-batches.
-        let _commit = self.coordination.enter_commit()?;
+        let _commit = self.coordination.enter()?;
         let state = self.current_state();
         let pending = self
             .pending
@@ -1792,11 +1795,23 @@ impl ShardedCore {
         drop(topo_guard);
         let parent = Arc::clone(state.shard(p.parent_pos));
         {
-            // The parent's counts live on in `own_stats`, folded under the
-            // lock `stats()` sums under: it counts them exactly once.
+            // The parent's counts live on in `own_stats` (and its private
+            // cache's in `retired_caches`), folded under the lock `stats()`
+            // sums under, so no scrape sees them twice or not at all. A get
+            // that routed to the parent before this point and finishes
+            // after it still counts on the parent, and that count is lost.
             let mut current = self.state.write();
             *current = new_state;
             self.own_stats.absorb(&parent.stats().snapshot());
+            if let Some(cache) = parent.block_cache().filter(|_| self.cache.is_none()) {
+                // Counters only: the dropped cache holds and bounds nothing.
+                let counts = CacheStats {
+                    used_bytes: 0,
+                    capacity_bytes: 0,
+                    ..cache.stats()
+                };
+                self.retired_caches.lock().absorb_cache(&counts);
+            }
         }
         *self.pending.lock() = None;
         self.remove_worker_core(parent.core());

@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 /// Maximum LSM levels tracked by the per-level counters.
 pub const MAX_LEVELS: usize = 12;
 
-/// One operation on one table row (normalized by `counters!`); a row the
-/// operation does not apply to expands to nothing.
+/// One operation on one table row (normalized by `counters!`). A row the
+/// operation does not apply to expands to nothing; a row of unknown kind
+/// or flag matches no arm, so a typo in the table fails the build.
 macro_rules! row {
     (load $s:ident $o:ident (level $a:ident $b:ident $($x:tt)*)) => {
         $o.$a = std::array::from_fn(|i| $s.$a[i].load(Relaxed));
@@ -93,7 +94,11 @@ macro_rules! row {
             }
         }
     };
-    ($op:ident $($x:tt)*) => {};
+    ($op:ident $($v:ident)* (sum $f:ident $(STATS)?)) => {};
+    ($op:ident $($v:ident)* (peak $f:ident)) => {};
+    ($op:ident $($v:ident)* (cache $f:ident = $src:ident)) => {};
+    ($op:ident $($v:ident)* (gauge $f:ident = $src:ident)) => {};
+    ($op:ident $($v:ident)* (level $a:ident $b:ident $ra:ident $rb:ident)) => {};
 }
 
 /// Sorts the table rows into the two structs that carry them, normalizing
@@ -360,9 +365,7 @@ impl StatsSnapshot {
     /// Sum a set of snapshots (e.g. one per shard) into one report.
     /// Equivalent to folding with `+`.
     pub fn merged(parts: &[StatsSnapshot]) -> StatsSnapshot {
-        parts
-            .iter()
-            .fold(StatsSnapshot::default(), |acc, s| acc + *s)
+        parts.iter().fold(Self::default(), |acc, s| acc + *s)
     }
 
     /// Device write amplification of the maintenance pipeline: every byte

@@ -730,47 +730,60 @@ fn zipfian_stream_triggers_live_splits_and_rebalances_within_20pct() {
 /// A live split retires the parent shard, but not its counts: the merged
 /// counters of `ShardedDb::stats()` never fall across a cutover (a METRICS
 /// scrape sees no counter reset, `since` never underflows), and every get
-/// issued is counted exactly once.
+/// issued is counted. Run without a cache and with the split-budget
+/// baseline, where the parent's private cache retires with it.
 #[test]
 fn merged_counters_are_monotone_across_live_splits() {
     let uniform_sample: Vec<u64> = (0..4096u64).map(|i| i << 32).collect();
     let opts = ShardedOptions::learned(2, uniform_sample, base_opts())
         .with_max_shards(20)
         .with_split_trigger(0.10, 128 << 10);
-    let db = ShardedDb::open_memory(opts).unwrap();
-    let chooser = RequestDistribution::Zipfian { theta: 0.99 }.chooser(1 << 20);
-    let mut rng = StdRng::seed_from_u64(0x511);
-    // Gauges may fall; every other counter must not.
-    let counters = |db: &ShardedDb| -> Vec<(String, u64)> {
-        let mut pairs = db.stats().counter_pairs();
-        pairs.retain(|(n, _)| !matches!(n.as_str(), "cache_used_bytes" | "cache_capacity_bytes"));
-        pairs
-    };
-    let mut before = counters(&db);
-    let mut cutovers = 0;
-    for i in 0..25_000u64 {
-        let k = ((chooser.next(&mut rng) as u64) << 24) | rng.gen_range(0..1u64 << 24);
-        let epoch = db.topology_epoch();
-        db.put(k, &i.to_le_bytes()).unwrap();
-        assert!(db.get(k).unwrap().is_some());
-        if db.topology_epoch() == epoch {
-            continue;
+    let private_caches = opts
+        .clone()
+        .with_cache_bytes(256 << 10)
+        .with_split_cache_budget();
+    for (case, opts) in [("uncached", opts), ("private caches", private_caches)] {
+        let db = ShardedDb::open_memory(opts).unwrap();
+        let chooser = RequestDistribution::Zipfian { theta: 0.99 }.chooser(1 << 20);
+        let mut rng = StdRng::seed_from_u64(0x511);
+        // Gauges may fall; every other counter must not.
+        let counters = |db: &ShardedDb| -> Vec<(String, u64)> {
+            let mut pairs = db.stats().counter_pairs();
+            pairs.retain(|(n, _)| {
+                !matches!(n.as_str(), "cache_used_bytes" | "cache_capacity_bytes")
+            });
+            pairs
+        };
+        let mut before = counters(&db);
+        let mut cutovers = 0;
+        for i in 0..25_000u64 {
+            let k = ((chooser.next(&mut rng) as u64) << 24) | rng.gen_range(0..1u64 << 24);
+            let epoch = db.topology_epoch();
+            db.put(k, &i.to_le_bytes()).unwrap();
+            assert!(db.get(k).unwrap().is_some());
+            if db.topology_epoch() == epoch {
+                continue;
+            }
+            cutovers += 1;
+            let after = counters(&db);
+            for (name, old) in &before {
+                let new = after.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
+                assert!(
+                    new >= *old,
+                    "{case}: {name} fell from {old} to {new} across the cutover after write {i}"
+                );
+            }
+            before = after;
         }
-        cutovers += 1;
-        let after = counters(&db);
-        for (name, old) in &before {
-            let new = after.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v);
-            assert!(
-                new >= *old,
-                "{name} fell from {old} to {new} across the cutover after write {i}"
-            );
+        assert!(cutovers >= 3, "{case}: only {cutovers} live splits fired");
+        let merged = db.stats();
+        assert_eq!(merged.shard_splits, cutovers, "{case}");
+        assert_eq!(merged.lookups, 25_000, "{case}: every get counted once");
+        if case == "private caches" {
+            // The caches that retire with their parents saw traffic.
+            assert!(merged.cache_block_misses > 0, "{case}: no cache traffic");
         }
-        before = after;
     }
-    assert!(cutovers >= 3, "only {cutovers} live splits fired");
-    let merged = db.stats();
-    assert_eq!(merged.shard_splits, cutovers);
-    assert_eq!(merged.lookups, 25_000, "every get counted exactly once");
 }
 
 /// Split crash matrix: crash at **every** storage-operation boundary of a
