@@ -112,7 +112,8 @@ impl TestbedConfig {
         }
     }
 
-    /// Engine options for this configuration.
+    /// Engine options for this configuration. Observability is on: the
+    /// lookup stage timers behind Table 1 and Fig. 7 run only with it.
     pub fn to_options(&self) -> Options {
         Options {
             write_buffer_bytes: self.write_buffer_bytes,
@@ -125,6 +126,7 @@ impl TestbedConfig {
             max_levels: 8,
             per_level_epsilon: self.per_level_epsilon.clone(),
             block_cache_bytes: self.block_cache_bytes,
+            observability: true,
             ..Options::default()
         }
     }

@@ -57,12 +57,9 @@ impl LevelModel {
         if self.tables.is_empty() {
             return Ok(None);
         }
-        let t0 = std::time::Instant::now();
+        let t0 = stats.stage_start();
         let bound = self.index.predict(key);
-        stats.predict_ns.fetch_add(
-            t0.elapsed().as_nanos() as u64,
-            std::sync::atomic::Ordering::Relaxed,
-        );
+        DbStats::stage_end(&stats.predict_ns, t0);
         if bound.is_empty() {
             return Ok(None);
         }

@@ -398,6 +398,21 @@ mod tests {
         }
     }
 
+    /// The stage columns of Table 1 and Fig. 7 come from the engine's
+    /// stage timers, which the testbed turns on with observability.
+    #[test]
+    fn lookup_report_carries_stage_timings() {
+        let mut tb = Testbed::new(tiny_config(IndexKind::Pgm)).unwrap();
+        tb.load().unwrap();
+        let b = tb
+            .run_point_lookups(500, RequestDistribution::Uniform)
+            .unwrap()
+            .breakdown;
+        assert!(b.table_locate > 0.0, "{b:?}");
+        assert!(b.prediction > 0.0, "{b:?}");
+        assert!(b.binary_search > 0.0, "{b:?}");
+    }
+
     #[test]
     fn level_granularity_cuts_memory() {
         let mut per_sst = Testbed::new(tiny_config(IndexKind::Pgm)).unwrap();

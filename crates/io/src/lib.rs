@@ -70,6 +70,42 @@ pub trait RandomAccessFile: Send + Sync {
         }
         Ok(())
     }
+
+    /// Read exactly the summed length of `bufs` at `offset`, filling the
+    /// buffers in order: one device call, recorded in [`IoStats`] exactly
+    /// as one [`RandomAccessFile::read_exact_at`] over the whole range.
+    /// Fails with `UnexpectedEof` when the range runs past the end.
+    ///
+    /// The default stages the range in one buffer and scatters it, so
+    /// every wrapper stays correct unchanged; the in-memory backends
+    /// override it to copy straight from the file bytes.
+    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
+        let mut staged = vec![0u8; bufs.iter().map(|b| b.len()).sum()];
+        self.read_exact_at(offset, &mut staged)?;
+        scatter(&staged, 0, bufs).map(drop)
+    }
+}
+
+/// Copy `data[offset..]` into `bufs` in order, returning the bytes copied;
+/// `UnexpectedEof` (and nothing copied) when `data` ends first.
+pub(crate) fn scatter(data: &[u8], offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<usize> {
+    let total: usize = bufs.iter().map(|b| b.len()).sum();
+    let start = (offset as usize).min(data.len());
+    let Some(mut rest) = data[start..].get(..total) else {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "short read: wanted {total} bytes at offset {offset}, file has {}",
+                data.len()
+            ),
+        ));
+    };
+    for buf in bufs.iter_mut() {
+        let (head, tail) = rest.split_at(buf.len());
+        buf.copy_from_slice(head);
+        rest = tail;
+    }
+    Ok(total)
 }
 
 /// An append-only output file, as produced by flushes and compactions.
@@ -170,6 +206,75 @@ mod tests {
     fn file_storage_contract() {
         let dir = tempfile::tempdir().unwrap();
         exercise_storage(&FileStorage::new(dir.path()).unwrap());
+    }
+
+    /// `read_exact_vectored_at` against one `read_exact_at` over the same
+    /// range: the same bytes and the same `IoStats` delta (one call, the
+    /// same blocks, the same modeled ns); past EOF it fails.
+    fn exercise_vectored(s: &dyn Storage) {
+        let payload: Vec<u8> = (0..3 * 4096 + 700).map(|i| (i * 7 % 251) as u8).collect();
+        s.create("v").unwrap().append(&payload).unwrap();
+        let r = s.open_read("v").unwrap();
+        let cases: [(u64, &[usize]); 5] = [
+            (0, &[4096, 4096]),
+            (100, &[3996, 4096, 10]),
+            (4000, &[1, 0, 95, 4096, 4096, 500]),
+            (3 * 4096, &[700]),
+            (77, &[]),
+        ];
+        for (offset, lens) in cases {
+            let total: usize = lens.iter().sum();
+            let before = s.stats().snapshot();
+            let mut want = vec![0u8; total];
+            r.read_exact_at(offset, &mut want).unwrap();
+            let plain = s.stats().snapshot().since(&before);
+
+            let mut bufs: Vec<Vec<u8>> = lens.iter().map(|&n| vec![0xAA; n]).collect();
+            let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(|b| b.as_mut_slice()).collect();
+            let before = s.stats().snapshot();
+            r.read_exact_vectored_at(offset, &mut views).unwrap();
+            let vectored = s.stats().snapshot().since(&before);
+            assert_eq!(bufs.concat(), want, "offset {offset} lens {lens:?}");
+            assert_eq!(vectored, plain, "offset {offset} lens {lens:?}");
+        }
+        let len = payload.len() as u64;
+        let mut a = [0u8; 10];
+        let mut b = [0u8; 10];
+        let err = r
+            .read_exact_vectored_at(len - 15, &mut [&mut a, &mut b])
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        let err = r
+            .read_exact_vectored_at(len + 5, &mut [&mut a])
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn vectored_read_matches_one_read_on_every_backend() {
+        exercise_vectored(&MemStorage::new());
+        exercise_vectored(&SimStorage::new(CostModel::default()));
+        let dir = tempfile::tempdir().unwrap();
+        exercise_vectored(&FileStorage::new(dir.path()).unwrap());
+        let (fault, _ctl) = FaultStorage::wrap(Arc::new(SimStorage::new(CostModel::default())));
+        exercise_vectored(fault.as_ref());
+        let base: Arc<dyn Storage> = Arc::new(SimStorage::new(CostModel::default()));
+        exercise_vectored(&PrefixedStorage::new(base, "p/"));
+        let (crash, _ctl) = CrashStorage::new();
+        exercise_vectored(crash.as_ref());
+    }
+
+    #[test]
+    fn vectored_read_of_a_poisoned_file_fails() {
+        let (s, ctl) = FaultStorage::wrap(Arc::new(MemStorage::new()));
+        s.create("bad").unwrap().append(&[1u8; 64]).unwrap();
+        let r = s.open_read("bad").unwrap();
+        ctl.poison("bad");
+        let mut a = [0u8; 8];
+        assert!(r.read_exact_vectored_at(0, &mut [&mut a]).is_err());
+        ctl.heal();
+        r.read_exact_vectored_at(0, &mut [&mut a]).unwrap();
+        assert_eq!(a, [1u8; 8]);
     }
 
     #[test]

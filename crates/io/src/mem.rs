@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use crate::{IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::{scatter, IoStats, RandomAccessFile, Storage, WritableFile};
 
 type FileMap = HashMap<String, Arc<RwLock<Vec<u8>>>>;
 
@@ -72,6 +72,12 @@ impl RandomAccessFile for MemFile {
         buf[..n].copy_from_slice(&data[off..off + n]);
         self.stats.record_read(n as u64, 0, 0);
         Ok(n)
+    }
+
+    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
+        let n = scatter(&self.data.read(), offset, bufs)?;
+        self.stats.record_read(n as u64, 0, 0);
+        Ok(())
     }
 
     fn len(&self) -> u64 {

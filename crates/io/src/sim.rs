@@ -9,7 +9,7 @@ use std::io;
 use std::sync::Arc;
 
 use crate::mem::{MemFile, MemStorage, MemWriter};
-use crate::{CostModel, IoStats, RandomAccessFile, Storage, WritableFile};
+use crate::{scatter, CostModel, IoStats, RandomAccessFile, Storage, WritableFile};
 
 /// In-memory storage with block-granular simulated I/O costs.
 #[derive(Debug, Default)]
@@ -48,6 +48,14 @@ impl RandomAccessFile for SimFile {
         let ns = self.model.read_cost_ns(offset, n);
         self.stats.record_read(n as u64, blocks, ns);
         Ok(n)
+    }
+
+    fn read_exact_vectored_at(&self, offset: u64, bufs: &mut [&mut [u8]]) -> io::Result<()> {
+        let n = scatter(&self.inner.data.read(), offset, bufs)?;
+        let blocks = self.model.blocks_spanned(offset, n);
+        let ns = self.model.read_cost_ns(offset, n);
+        self.stats.record_read(n as u64, blocks, ns);
+        Ok(())
     }
 
     fn len(&self) -> u64 {

@@ -28,6 +28,7 @@
 //! from a panic hook mid-insert can never deadlock.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -155,9 +156,33 @@ struct Slot {
     tick: u64,
 }
 
+/// Hashes a [`BlockKey`] with the splitmix64 mixer instead of SipHash:
+/// a missed block costs about four map operations, each hashing its key.
+/// The key's two words are folded in the opposite arrangement from
+/// [`BlockCache::segment_of`]'s, so the bits that pick a stripe do not
+/// also pick the bucket inside it.
+#[derive(Default)]
+struct BlockKeyHasher(u64);
+
+impl Hasher for BlockKeyHasher {
+    fn finish(&self) -> u64 {
+        mix64(self.0)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ b as u64;
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.rotate_left(32) ^ n;
+    }
+}
+
 /// One lock stripe: a slab-backed intrusive LRU list (O(1) get/insert).
 struct LruSegment {
-    map: HashMap<BlockKey, usize>,
+    map: HashMap<BlockKey, usize, BuildHasherDefault<BlockKeyHasher>>,
     slots: Vec<Slot>,
     free: Vec<usize>,
     head: usize, // most recently used
@@ -167,7 +192,7 @@ struct LruSegment {
 impl LruSegment {
     fn new() -> Self {
         Self {
-            map: HashMap::new(),
+            map: HashMap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -473,6 +473,8 @@ impl Db {
         // A standalone open with observability on builds its own handle;
         // the sharding layer passes per-shard handles sharing one ring.
         let obs = obs.or_else(|| opts.observability.then(|| Arc::new(EngineObs::solo(0))));
+        // The lookup stage timers belong to observability too.
+        let stats = Arc::new(DbStats::with_stage_timers(opts.observability));
         // The sharding layer passes one cache shared by every shard (its
         // byte budget is global); a standalone open builds its own from
         // `Options::block_cache_bytes`.
@@ -576,7 +578,7 @@ impl Db {
             writers_in_flight: AtomicUsize::new(0),
             publish: StdMutex::new(PublishQueue::default()),
             publish_cv: Condvar::new(),
-            stats: Arc::new(DbStats::new()),
+            stats,
             cache,
             cache_scope,
             snapshots: SnapshotList::new(),
@@ -2313,6 +2315,7 @@ impl DbCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StatsSnapshot;
     use learned_index::IndexKind;
 
     fn small_db(kind: IndexKind) -> Db {
@@ -2438,7 +2441,10 @@ mod tests {
 
     #[test]
     fn stats_reflect_lookups() {
-        let db = small_db(IndexKind::Pgm);
+        let mut opts = Options::small_for_tests();
+        opts.index.kind = IndexKind::Pgm;
+        opts.observability = true;
+        let db = Db::open_memory(opts).unwrap();
         for k in 0..1_000u64 {
             db.put(k, b"x").unwrap();
         }
@@ -2451,6 +2457,49 @@ mod tests {
         assert_eq!(delta.lookups, 100);
         assert!(delta.predict_ns > 0);
         assert!(delta.io_cpu_ns > 0);
+    }
+
+    /// Stats delta of 100 present and 20 absent gets on a flushed Db.
+    fn lookup_stats(observability: bool) -> StatsSnapshot {
+        let mut opts = Options::small_for_tests();
+        opts.observability = observability;
+        let db = Db::open_memory(opts).unwrap();
+        for k in 0..1_000u64 {
+            db.put(k, b"x").unwrap();
+        }
+        db.flush().unwrap();
+        let before = db.stats().snapshot();
+        for k in 0..100u64 {
+            assert!(db.get(k * 7).unwrap().is_some());
+        }
+        for k in 0..20u64 {
+            assert!(db.get(1_000_000 + k).unwrap().is_none());
+        }
+        db.stats().snapshot().since(&before)
+    }
+
+    #[test]
+    fn stage_timers_run_only_with_observability() {
+        let (off, on) = (lookup_stats(false), lookup_stats(true));
+        let timers = |s: &StatsSnapshot| {
+            [
+                s.table_locate_ns,
+                s.predict_ns,
+                s.io_cpu_ns,
+                s.search_ns,
+                s.level_read_ns.iter().sum(),
+            ]
+        };
+        assert_eq!(
+            timers(&off),
+            [0; 5],
+            "no clock is read with observability off"
+        );
+        assert!(timers(&on).iter().all(|&ns| ns > 0), "{:?}", timers(&on));
+        assert_eq!(off.lookups, on.lookups);
+        assert_eq!(off.bloom_checks, on.bloom_checks);
+        assert_eq!(off.level_reads, on.level_reads);
+        assert_eq!(on.lookups, 120);
     }
 
     #[test]

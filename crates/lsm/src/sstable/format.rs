@@ -56,6 +56,20 @@ pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
     if buf.len() < entry_width(value_width) {
         return Err(Error::Corruption("entry buffer too short".into()));
     }
+    let (key, vlen) = decode_header(buf, value_width)?;
+    Ok(Entry {
+        key,
+        value: buf[ENTRY_HEADER..ENTRY_HEADER + vlen].to_vec(),
+    })
+}
+
+/// Parse the fixed header at `buf[0..ENTRY_HEADER]`: the internal key and
+/// the value length, checked against the `value_width` slot. The value
+/// bytes follow at `ENTRY_HEADER`.
+pub fn decode_header(buf: &[u8], value_width: usize) -> Result<(InternalKey, usize)> {
+    if buf.len() < ENTRY_HEADER {
+        return Err(Error::Corruption("entry header too short".into()));
+    }
     let user_key = decode_key(&buf[..KEY_LEN]);
     let kind = EntryKind::from_tag(buf[KEY_LEN])
         .ok_or_else(|| Error::Corruption(format!("bad entry kind {}", buf[KEY_LEN])))?;
@@ -68,15 +82,14 @@ pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
             "value length {vlen} exceeds slot {value_width}"
         )));
     }
-    let value = buf[ENTRY_HEADER..ENTRY_HEADER + vlen].to_vec();
-    Ok(Entry {
-        key: InternalKey {
+    Ok((
+        InternalKey {
             user_key,
             seq,
             kind,
         },
-        value,
-    })
+        vlen,
+    ))
 }
 
 /// Read only the user key of the entry at `buf[0..]` (hot path of in-segment

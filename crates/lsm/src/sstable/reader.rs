@@ -3,15 +3,19 @@
 //! A point lookup is exactly the paper's four-stage pipeline (Table 1):
 //! table locate (done by the caller), *prediction* (inner index + model),
 //! *disk I/O* (one `pread` of the position boundary), and *binary search*
-//! within the fetched range. Each stage is timed into [`DbStats`].
+//! within the fetched range. Each stage is timed into [`DbStats`] when its
+//! stage timers are on (`Options::observability`); off, a lookup reads no
+//! clock.
 //!
 //! With a block cache attached the fetch goes through 4 KiB cache blocks,
 //! but the I/O model is kept: the span's blocks are probed once each, and
 //! every run of consecutive missed blocks is loaded with one device read —
-//! a cold boundary straddling two blocks is still one `pread`.
+//! a cold boundary straddling two blocks is still one `pread`, vectored
+//! straight into the fresh cache blocks. The fetched boundary is a view
+//! over the buffers that hold it (`Span`): the search reads keys in
+//! place, and only the found entry's value is copied out.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use learned_index::{IndexKind, SearchBound, SegmentIndex};
 
@@ -20,9 +24,10 @@ use crate::cache::{BlockKey, EngineCache, TABLE_HANDLE_OVERHEAD};
 use crate::options::SearchStrategy;
 use crate::sstable::format::{self, Footer};
 use crate::stats::DbStats;
-use crate::types::{Entry, SeqNo};
+use crate::types::{Entry, InternalKey, SeqNo};
 use crate::{Error, Result};
 use lsm_io::{RandomAccessFile, Storage};
+use lsm_workloads::KEY_LEN;
 
 /// Cache block granularity (matches the device model's 4 KiB blocks).
 const CACHE_BLOCK: u64 = 4096;
@@ -230,23 +235,13 @@ impl TableReader {
         }
 
         // Stage: prediction (inner index + model).
-        let t = Instant::now();
+        let t = stats.stage_start();
         let bound = self.index.predict(key);
-        stats.add_predict_ns(t.elapsed().as_nanos() as u64);
+        DbStats::stage_end(&stats.predict_ns, t);
         if bound.is_empty() {
             return Ok(None);
         }
-
-        // Stage: disk I/O — one pread of the position boundary.
-        let t = Instant::now();
-        let buf = self.read_positions_opts(bound, fill_cache)?;
-        stats.add_io_cpu_ns(t.elapsed().as_nanos() as u64);
-
-        // Stage: binary search within the fetched range.
-        let t = Instant::now();
-        let result = self.search_buffer(&buf, bound, key, snapshot)?;
-        stats.add_search_ns(t.elapsed().as_nanos() as u64);
-        Ok(result)
+        self.fetch_and_search(key, bound, snapshot, stats, fill_cache)
     }
 
     /// Point lookup constrained to positions `[lo, hi)` — used by
@@ -268,12 +263,26 @@ impl TableReader {
         if bound.is_empty() {
             return Ok(None);
         }
-        let t = Instant::now();
-        let buf = self.read_positions_opts(bound, true)?;
-        stats.add_io_cpu_ns(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        let result = self.search_buffer(&buf, bound, key, snapshot)?;
-        stats.add_search_ns(t.elapsed().as_nanos() as u64);
+        self.fetch_and_search(key, bound, snapshot, stats, true)
+    }
+
+    /// The last two lookup stages: disk I/O (one read of the position
+    /// boundary) and the binary search within it.
+    fn fetch_and_search(
+        &self,
+        key: u64,
+        bound: SearchBound,
+        snapshot: SeqNo,
+        stats: &DbStats,
+        fill_cache: bool,
+    ) -> Result<Option<Option<Vec<u8>>>> {
+        let t = stats.stage_start();
+        let span = self.read_positions_opts(bound, fill_cache)?;
+        DbStats::stage_end(&stats.io_cpu_ns, t);
+
+        let t = stats.stage_start();
+        let result = self.search_span(&span, bound, key, snapshot)?;
+        DbStats::stage_end(&stats.search_ns, t);
         Ok(result)
     }
 
@@ -282,52 +291,56 @@ impl TableReader {
     /// no-fill read is served from the cache when the blocks are resident
     /// but never inserts, so scans and compactions cannot evict the
     /// point-lookup working set.
-    fn read_positions_opts(&self, bound: SearchBound, fill_cache: bool) -> Result<Vec<u8>> {
+    fn read_positions_opts(&self, bound: SearchBound, fill_cache: bool) -> Result<Span> {
         let lo_byte = (bound.lo * self.entry_width) as u64;
         let len = (bound.hi - bound.lo) * self.entry_width;
         match &self.cache {
             None => {
                 let mut buf = vec![0u8; len];
                 self.file.read_exact_at(lo_byte, &mut buf)?;
-                Ok(buf)
+                let mut span = Span::new(lo_byte, len, 1);
+                span.push(Held::Run(buf), lo_byte);
+                Ok(span)
             }
             Some(cache) => self.read_span_cached(cache, lo_byte, len, fill_cache),
         }
     }
 
-    /// Assemble `[off, off+len)` from cached 4 KiB blocks in one pass.
+    /// View `[off, off+len)` through cached 4 KiB blocks in one pass.
     ///
     /// Each block of the span is probed in the cache exactly once, and each
     /// maximal run of consecutive missed blocks costs exactly one device
     /// read, so a point lookup still pays the paper's single I/O for its
     /// position boundary however many blocks that boundary straddles. With
     /// `fill_cache`, a run is read block-aligned (clamped to the file
-    /// length) and every 4 KiB slice is inserted as its own cache block;
-    /// without it, only the requested bytes of the run are read, straight
-    /// into the output — a fully cold no-fill read is the same single call
-    /// the uncached path makes.
+    /// length) straight into one fresh buffer per block, and each is
+    /// inserted as its own cache block; without it, only the requested
+    /// bytes of the run are read — a fully cold no-fill read is the same
+    /// single call the uncached path makes. The returned view holds the
+    /// blocks and run buffers themselves: nothing is copied into one
+    /// span-sized buffer.
     fn read_span_cached(
         &self,
         cache: &EngineCache,
         off: u64,
         len: usize,
         fill_cache: bool,
-    ) -> Result<Vec<u8>> {
+    ) -> Result<Span> {
         if len == 0 {
-            return Ok(Vec::new());
+            return Ok(Span::new(off, 0, 0));
         }
         let first = off / CACHE_BLOCK;
         let last = (off + len as u64 - 1) / CACHE_BLOCK;
-        let mut out = vec![0u8; len];
+        let mut span = Span::new(off, len, (last - first + 1) as usize);
         // First block of the run of misses not yet fetched, if any.
         let mut run: Option<u64> = None;
         for b in first..=last {
             match cache.blocks().get(self.block_key(b)) {
                 Some(block) => {
                     if let Some(start) = run.take() {
-                        self.fetch_run(cache, start..b, off, &mut out, fill_cache)?;
+                        self.fetch_run(cache, start..b, &mut span, fill_cache)?;
                     }
-                    copy_overlap(&mut out, off, &block, b * CACHE_BLOCK);
+                    span.push(Held::Block(block), b * CACHE_BLOCK);
                 }
                 None => {
                     run.get_or_insert(b);
@@ -335,46 +348,43 @@ impl TableReader {
             }
         }
         if let Some(start) = run {
-            self.fetch_run(cache, start..last + 1, off, &mut out, fill_cache)?;
+            self.fetch_run(cache, start..last + 1, &mut span, fill_cache)?;
         }
-        Ok(out)
+        Ok(span)
     }
 
-    /// Load the missed blocks `blocks` with one device read and copy their
-    /// overlap with the span into `out` (which holds `[off, off+out.len())`).
+    /// Load the missed blocks `blocks` with one device read and append
+    /// their overlap with the span to `span`.
     fn fetch_run(
         &self,
         cache: &EngineCache,
         blocks: std::ops::Range<u64>,
-        off: u64,
-        out: &mut [u8],
+        span: &mut Span,
         fill_cache: bool,
     ) -> Result<()> {
         let run_start = blocks.start * CACHE_BLOCK;
-        let run_end = blocks.end * CACHE_BLOCK;
         if !fill_cache {
-            let from = off.max(run_start);
-            let to = (off + out.len() as u64).min(run_end);
-            let dst = (from - off) as usize..(to - off) as usize;
-            self.file.read_exact_at(from, &mut out[dst])?;
+            let from = span.off.max(run_start);
+            let to = (span.off + span.len as u64).min(blocks.end * CACHE_BLOCK);
+            let mut buf = vec![0u8; (to - from) as usize];
+            self.file.read_exact_at(from, &mut buf)?;
+            span.push(Held::Run(buf), from);
             return Ok(());
         }
-        let mut buf = vec![0u8; run_end.min(self.file.len()).saturating_sub(run_start) as usize];
-        self.file.read_exact_at(run_start, &mut buf)?;
-        copy_overlap(out, off, &buf, run_start);
-        if blocks.end - blocks.start == 1 {
-            // A one-block run is already the block: cache it without a copy.
-            cache
-                .blocks()
-                .insert(self.block_key(blocks.start), Arc::new(buf));
-            return Ok(());
-        }
-        // Each block of a longer run is its own cache entry, so its bytes
-        // are copied out of the shared read buffer once.
-        for (b, slice) in blocks.zip(buf.chunks(CACHE_BLOCK as usize)) {
-            cache
-                .blocks()
-                .insert(self.block_key(b), Arc::new(slice.to_vec()));
+        // One buffer per block (the file's last block may be short), filled
+        // by one vectored read: the device call is the run's, the buffers
+        // are the cache's.
+        let file_len = self.file.len();
+        let mut fresh: Vec<Vec<u8>> = blocks
+            .clone()
+            .map(|b| vec![0u8; (((b + 1) * CACHE_BLOCK).min(file_len) - b * CACHE_BLOCK) as usize])
+            .collect();
+        let mut bufs: Vec<&mut [u8]> = fresh.iter_mut().map(Vec::as_mut_slice).collect();
+        self.file.read_exact_vectored_at(run_start, &mut bufs)?;
+        for (b, data) in blocks.zip(fresh) {
+            let block = Arc::new(data);
+            cache.blocks().insert(self.block_key(b), Arc::clone(&block));
+            span.push(Held::Block(block), b * CACHE_BLOCK);
         }
         Ok(())
     }
@@ -386,10 +396,10 @@ impl TableReader {
         }
     }
 
-    /// Lower-bound position of `key` within the fetched buffer of `count`
-    /// fixed-width entries, using the configured strategy.
-    fn lower_bound_in(&self, buf: &[u8], count: usize, key: u64) -> usize {
-        let key_at = |i: usize| format::decode_entry_key(&buf[i * self.entry_width..]);
+    /// Lower-bound position of `key` among the `count` fixed-width entries
+    /// of `span`, using the configured strategy.
+    fn lower_bound_in(&self, span: &Span, count: usize, key: u64) -> usize {
+        let key_at = |i: usize| span.key_at(i * self.entry_width);
         match self.search {
             SearchStrategy::Binary => {
                 let mut lo = 0usize;
@@ -442,31 +452,31 @@ impl TableReader {
         }
     }
 
-    /// Search the fetched fixed-width entries for `key`.
-    fn search_buffer(
+    /// Search the fetched fixed-width entries for `key`, in place; only
+    /// the found entry's value is copied out.
+    fn search_span(
         &self,
-        buf: &[u8],
+        span: &Span,
         bound: SearchBound,
         key: u64,
         snapshot: SeqNo,
     ) -> Result<Option<Option<Vec<u8>>>> {
         let count = bound.hi - bound.lo;
-        let lo = self.lower_bound_in(buf, count, key);
+        let lo = self.lower_bound_in(span, count, key);
         if lo >= count {
             return Ok(None);
         }
-        let off = lo * self.entry_width;
-        let k = format::decode_entry_key(&buf[off..]);
-        if k != key {
+        let pos = lo * self.entry_width;
+        if span.key_at(pos) != key {
             return Ok(None);
         }
-        let entry = format::decode_entry(&buf[off..], self.value_width)?;
-        if entry.key.seq > snapshot {
+        let (ikey, vlen) = span.header_at(pos, self.value_width)?;
+        if ikey.seq > snapshot {
             // The only version in this table is newer than the snapshot.
             return Ok(None);
         }
-        Ok(Some(match entry.key.kind {
-            crate::types::EntryKind::Put => Some(entry.value),
+        Ok(Some(match ikey.kind {
+            crate::types::EntryKind::Put => Some(span.value_at(pos, vlen)),
             crate::types::EntryKind::Delete => None,
         }))
     }
@@ -486,9 +496,9 @@ impl TableReader {
             return Ok(self.n);
         }
         let bound = self.index.predict(key);
-        let buf = self.read_positions_opts(bound, fill_cache)?;
+        let span = self.read_positions_opts(bound, fill_cache)?;
         let count = bound.hi - bound.lo;
-        let lo = self.lower_bound_in(buf.as_slice(), count, key);
+        let lo = self.lower_bound_in(&span, count, key);
         let mut pos = bound.lo + lo;
         // The learned bound contains the insertion point for absent keys at
         // its edge in rare rounding cases; walk forward defensively.
@@ -503,7 +513,7 @@ impl TableReader {
     /// Read the user key of the entry at `pos` (one small read).
     pub fn key_at(&self, pos: usize) -> Result<u64> {
         debug_assert!(pos < self.n);
-        let mut kb = [0u8; lsm_workloads::KEY_LEN];
+        let mut kb = [0u8; KEY_LEN];
         self.file
             .read_exact_at((pos * self.entry_width) as u64, &mut kb)?;
         Ok(format::decode_entry_key(&kb))
@@ -529,15 +539,17 @@ impl TableReader {
         if lo >= hi {
             return Ok(Vec::new());
         }
-        let buf = self.read_positions_opts(SearchBound { lo, hi }, fill_cache)?;
-        let mut out = Vec::with_capacity(hi - lo);
-        for i in 0..hi - lo {
-            out.push(format::decode_entry(
-                &buf[i * self.entry_width..],
-                self.value_width,
-            )?);
-        }
-        Ok(out)
+        let span = self.read_positions_opts(SearchBound { lo, hi }, fill_cache)?;
+        (0..hi - lo)
+            .map(|i| {
+                let pos = i * self.entry_width;
+                let (key, vlen) = span.header_at(pos, self.value_width)?;
+                Ok(Entry {
+                    key,
+                    value: span.value_at(pos, vlen),
+                })
+            })
+            .collect()
     }
 
     /// All user keys, read sequentially (used to train level-grained
@@ -549,10 +561,8 @@ impl TableReader {
         let mut pos = 0usize;
         while pos < self.n {
             let hi = (pos + CHUNK_ENTRIES).min(self.n);
-            let buf = self.read_positions_opts(SearchBound { lo: pos, hi }, false)?;
-            for i in 0..hi - pos {
-                keys.push(format::decode_entry_key(&buf[i * self.entry_width..]));
-            }
+            let span = self.read_positions_opts(SearchBound { lo: pos, hi }, false)?;
+            keys.extend((0..hi - pos).map(|i| span.key_at(i * self.entry_width)));
             pos = hi;
         }
         Ok(keys)
@@ -567,14 +577,157 @@ impl Drop for TableReader {
     }
 }
 
-/// Copy the overlap of `src` (the file bytes from `src_start`) into `out`
-/// (the file bytes from `off`).
-fn copy_overlap(out: &mut [u8], off: u64, src: &[u8], src_start: u64) {
-    let from = off.max(src_start);
-    let to = (off + out.len() as u64).min(src_start + src.len() as u64);
-    if from < to {
-        let src = &src[(from - src_start) as usize..(to - src_start) as usize];
-        out[(from - off) as usize..(to - off) as usize].copy_from_slice(src);
+/// A buffer holding part of a [`Span`].
+#[derive(Debug)]
+enum Held {
+    /// A 4 KiB cache block: resident, or freshly filled and inserted.
+    Block(Arc<Vec<u8>>),
+    /// Exactly the bytes one device read returned (a no-fill run, or the
+    /// uncached reader's whole boundary).
+    Run(Vec<u8>),
+}
+
+impl std::ops::Deref for Held {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match self {
+            Held::Block(b) => b,
+            Held::Run(r) => r,
+        }
+    }
+}
+
+/// One buffer's share of a span: `held[lo..hi]` are the span bytes from
+/// span offset `at`.
+#[derive(Debug)]
+struct Piece {
+    at: usize,
+    held: Held,
+    lo: usize,
+    hi: usize,
+}
+
+impl Piece {
+    fn bytes(&self) -> &[u8] {
+        &self.held[self.lo..self.hi]
+    }
+}
+
+/// The file bytes `[off, off + len)` of a position boundary, as the
+/// buffers that hold them, in file order. Keys are read in place; only
+/// what straddles two buffers (a 4 KiB block edge) is assembled, on the
+/// stack, and only a found entry's value is copied out.
+#[derive(Debug)]
+struct Span {
+    off: u64,
+    len: usize,
+    pieces: Vec<Piece>,
+}
+
+impl Span {
+    fn new(off: u64, len: usize, pieces: usize) -> Self {
+        Self {
+            off,
+            len,
+            pieces: Vec::with_capacity(pieces),
+        }
+    }
+
+    /// Append the overlap of `held` (the file bytes from `held_off`) with
+    /// the span; pieces arrive in file order and tile the span.
+    fn push(&mut self, held: Held, held_off: u64) {
+        let from = self.off.max(held_off);
+        let to = (self.off + self.len as u64).min(held_off + held.len() as u64);
+        debug_assert!(from < to, "piece outside the span");
+        let at = (from - self.off) as usize;
+        debug_assert_eq!(
+            at,
+            self.pieces.last().map_or(0, |p| p.at + p.hi - p.lo),
+            "pieces must tile the span"
+        );
+        self.pieces.push(Piece {
+            at,
+            held,
+            lo: (from - held_off) as usize,
+            hi: (to - held_off) as usize,
+        });
+    }
+
+    /// The piece holding span byte `pos`, and `pos`'s index within it.
+    fn locate(&self, pos: usize) -> (&[u8], usize) {
+        debug_assert!(pos < self.len, "span byte {pos} of {}", self.len);
+        let p = &self.pieces[self.pieces.partition_point(|p| p.at <= pos) - 1];
+        (p.bytes(), pos - p.at)
+    }
+
+    /// Hand `f` the span bytes `[pos, end)`, one piece's share at a time.
+    fn for_each_chunk(&self, mut pos: usize, end: usize, mut f: impl FnMut(&[u8])) {
+        while pos < end {
+            let (piece, i) = self.locate(pos);
+            let n = (piece.len() - i).min(end - pos);
+            f(&piece[i..i + n]);
+            pos += n;
+        }
+    }
+
+    /// Span bytes `[pos, pos + scratch.len())`: in place when one piece
+    /// holds them all, else assembled in `scratch`.
+    fn bytes_at<'a>(&'a self, pos: usize, scratch: &'a mut [u8]) -> &'a [u8] {
+        let (piece, i) = self.locate(pos);
+        if let Some(in_place) = piece.get(i..i + scratch.len()) {
+            return in_place;
+        }
+        let mut done = 0;
+        self.for_each_chunk(pos, pos + scratch.len(), |chunk| {
+            scratch[done..done + chunk.len()].copy_from_slice(chunk);
+            done += chunk.len();
+        });
+        scratch
+    }
+
+    /// User key of the entry at span offset `pos`.
+    fn key_at(&self, pos: usize) -> u64 {
+        format::decode_entry_key(self.bytes_at(pos, &mut [0u8; KEY_LEN]))
+    }
+
+    /// Internal key and value length of the entry at span offset `pos`.
+    fn header_at(&self, pos: usize, value_width: usize) -> Result<(InternalKey, usize)> {
+        format::decode_header(
+            self.bytes_at(pos, &mut [0u8; format::ENTRY_HEADER]),
+            value_width,
+        )
+    }
+
+    /// The `vlen` value bytes of the entry at span offset `pos`.
+    fn value_at(&self, pos: usize, vlen: usize) -> Vec<u8> {
+        let start = pos + format::ENTRY_HEADER;
+        let mut value = Vec::with_capacity(vlen);
+        self.for_each_chunk(start, start + vlen, |chunk| value.extend_from_slice(chunk));
+        value
+    }
+}
+
+/// Spans compare by content, whatever buffers hold it.
+#[cfg(test)]
+impl Span {
+    fn to_vec(&self) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(self.len);
+        self.for_each_chunk(0, self.len, |chunk| bytes.extend_from_slice(chunk));
+        bytes
+    }
+}
+
+#[cfg(test)]
+impl PartialEq<Vec<u8>> for Span {
+    fn eq(&self, other: &Vec<u8>) -> bool {
+        self.to_vec() == *other
+    }
+}
+
+#[cfg(test)]
+impl PartialEq for Span {
+    fn eq(&self, other: &Span) -> bool {
+        self.to_vec() == other.to_vec()
     }
 }
 

@@ -23,6 +23,7 @@
 //! also go into the server's STATS reply ([`StatsSnapshot::stats_pairs`]).
 
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::time::Instant;
 
 /// Maximum LSM levels tracked by the per-level counters.
 pub const MAX_LEVELS: usize = 12;
@@ -107,7 +108,11 @@ macro_rules! counters {
     (@munch [$($db:tt)*] [$($snap:tt)*] [$($row:tt)*]) => {
         /// Shared engine counters. Cloneable snapshots via [`DbStats::snapshot`].
         #[derive(Debug, Default)]
-        pub struct DbStats { $($db)* }
+        pub struct DbStats {
+            $($db)*
+            /// Whether the lookup stage timers run ([`DbStats::stage_start`]).
+            stage_timers: bool,
+        }
 
         /// Point-in-time copy of [`DbStats`], plus the engine cache's counters.
         #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -281,31 +286,53 @@ counters! {
 }
 
 impl DbStats {
-    /// Fresh zeroed counters.
+    /// Fresh zeroed counters, lookup stage timers off.
     pub fn new() -> Self {
         Self::default()
     }
 
-    #[inline]
-    pub(crate) fn add_predict_ns(&self, ns: u64) {
-        self.predict_ns.fetch_add(ns, Relaxed);
+    /// Fresh zeroed counters with the lookup stage timers on or off. A
+    /// `Db` turns them on with `Options::observability`; off, a point
+    /// lookup reads no clock and the five timer families
+    /// (`table_locate_ns`, `predict_ns`, `io_cpu_ns`, `search_ns`,
+    /// `level_read_ns`) stay 0, while every count still moves.
+    pub fn with_stage_timers(on: bool) -> Self {
+        Self {
+            stage_timers: on,
+            ..Self::default()
+        }
     }
 
+    /// Start timing a lookup stage: the current instant with stage timers
+    /// on, `None` (and no clock read) with them off.
     #[inline]
-    pub(crate) fn add_io_cpu_ns(&self, ns: u64) {
-        self.io_cpu_ns.fetch_add(ns, Relaxed);
+    pub fn stage_start(&self) -> Option<Instant> {
+        self.stage_timers.then(Instant::now)
     }
 
+    /// Nanoseconds since `started`; 0 when the timer never started.
     #[inline]
-    pub(crate) fn add_search_ns(&self, ns: u64) {
-        self.search_ns.fetch_add(ns, Relaxed);
+    pub fn stage_ns(started: Option<Instant>) -> u64 {
+        started.map_or(0, |t| t.elapsed().as_nanos() as u64)
     }
 
-    /// Record one read that was served by level `level`.
+    /// Add the time since `started` to the timer `counter`; nothing when
+    /// the timer never started.
+    #[inline]
+    pub fn stage_end(counter: &AtomicU64, started: Option<Instant>) {
+        if started.is_some() {
+            counter.fetch_add(Self::stage_ns(started), Relaxed);
+        }
+    }
+
+    /// Record one read that was served by level `level`, taking `ns` (0:
+    /// untimed, no atomic add).
     pub(crate) fn record_level_read(&self, level: usize, ns: u64) {
         if level < MAX_LEVELS {
             self.level_reads[level].fetch_add(1, Relaxed);
-            self.level_read_ns[level].fetch_add(ns, Relaxed);
+            if ns > 0 {
+                self.level_read_ns[level].fetch_add(ns, Relaxed);
+            }
         }
     }
 
@@ -449,10 +476,10 @@ mod tests {
     fn snapshot_diffs() {
         let s = DbStats::new();
         s.lookups.fetch_add(5, Ordering::Relaxed);
-        s.add_predict_ns(100);
+        s.predict_ns.fetch_add(100, Ordering::Relaxed);
         let a = s.snapshot();
         s.lookups.fetch_add(3, Ordering::Relaxed);
-        s.add_predict_ns(50);
+        s.predict_ns.fetch_add(50, Ordering::Relaxed);
         s.record_level_read(2, 42);
         let b = s.snapshot();
         let d = b.since(&a);
@@ -466,9 +493,9 @@ mod tests {
     fn breakdown_averages_per_lookup() {
         let s = DbStats::new();
         s.lookups.fetch_add(10, Ordering::Relaxed);
-        s.add_predict_ns(1000);
-        s.add_io_cpu_ns(20_000);
-        s.add_search_ns(500);
+        s.predict_ns.fetch_add(1000, Ordering::Relaxed);
+        s.io_cpu_ns.fetch_add(20_000, Ordering::Relaxed);
+        s.search_ns.fetch_add(500, Ordering::Relaxed);
         let b = s.snapshot().lookup_breakdown();
         assert_eq!(b.predict_ns, 100);
         assert_eq!(b.io_cpu_ns, 2_000);

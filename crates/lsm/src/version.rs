@@ -7,7 +7,6 @@
 //! a half-applied edit.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::sstable::{TableMeta, TableReader};
 use crate::stats::DbStats;
@@ -69,25 +68,22 @@ impl Version {
     ) -> Result<Option<Option<Vec<u8>>>> {
         // L0: tables may overlap; newest first.
         for t in &self.levels[0] {
-            let started = Instant::now();
+            let started = stats.stage_start();
             if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                stats.record_level_read(0, started.elapsed().as_nanos() as u64);
+                stats.record_level_read(0, DbStats::stage_ns(started));
                 return Ok(Some(hit));
             }
         }
         if self.sorted_levels {
             // L1+: binary search for the single candidate table.
             for (level, tables) in self.levels.iter().enumerate().skip(1) {
-                let t0 = Instant::now();
+                let t0 = stats.stage_start();
                 let candidate = Self::locate(tables, key);
-                stats.table_locate_ns.fetch_add(
-                    t0.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
+                DbStats::stage_end(&stats.table_locate_ns, t0);
                 if let Some(t) = candidate {
-                    let started = Instant::now();
+                    let started = stats.stage_start();
                     if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                        stats.record_level_read(level, started.elapsed().as_nanos() as u64);
+                        stats.record_level_read(level, DbStats::stage_ns(started));
                         return Ok(Some(hit));
                     }
                 }
@@ -100,9 +96,9 @@ impl Version {
                     if key < t.meta.min_key || key > t.meta.max_key {
                         continue;
                     }
-                    let started = Instant::now();
+                    let started = stats.stage_start();
                     if let Some(hit) = t.reader.get_opts(key, snapshot, stats, fill_cache)? {
-                        stats.record_level_read(level, started.elapsed().as_nanos() as u64);
+                        stats.record_level_read(level, DbStats::stage_ns(started));
                         return Ok(Some(hit));
                     }
                 }
