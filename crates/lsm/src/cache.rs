@@ -157,8 +157,10 @@ struct Slot {
 }
 
 /// Hashes a [`BlockKey`] with the splitmix64 mixer instead of SipHash:
-/// a missed block costs about four map operations, each hashing its key.
-/// The key's two words are folded in the opposite arrangement from
+/// a missed block costs about four map operations, each hashing its key,
+/// and the keys are the engine's own (table id, block number), so
+/// SipHash's resistance to crafted collisions buys nothing here. The two
+/// words are folded in the opposite arrangement from
 /// [`BlockCache::segment_of`]'s, so the bits that pick a stripe do not
 /// also pick the bucket inside it.
 #[derive(Default)]

@@ -427,8 +427,12 @@ pub struct Options {
     /// Engine observability (`lsm-obs`): tracing events into a lock-free
     /// ring plus per-op latency histograms, scraped via
     /// `Db::metrics` / `ShardedDb::metrics` and the server's `METRICS`
-    /// opcode. Off by default: the paper experiments run unperturbed and
-    /// `DbStats` behaves byte-identically to previous releases.
+    /// opcode, and the point-lookup stage timers (`table_locate_ns`,
+    /// `predict_ns`, `io_cpu_ns`, `search_ns`, `level_read_ns`; see
+    /// [`crate::DbStats::with_stage_timers`]). Off by default: a get
+    /// reads no clock, the timer counters stay 0, and every count
+    /// counter is the same as with it on. The paper testbed turns it on
+    /// for the stage columns of Table 1 and Fig. 7.
     pub observability: bool,
 }
 

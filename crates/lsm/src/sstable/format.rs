@@ -66,6 +66,9 @@ pub fn decode_entry(buf: &[u8], value_width: usize) -> Result<Entry> {
 /// Parse the fixed header at `buf[0..ENTRY_HEADER]`: the internal key and
 /// the value length, checked against the `value_width` slot. The value
 /// bytes follow at `ENTRY_HEADER`.
+// Always inlined: compaction decodes every entry it merges through
+// `decode_entry`, and a call here measured ~10% slower per entry.
+#[inline(always)]
 pub fn decode_header(buf: &[u8], value_width: usize) -> Result<(InternalKey, usize)> {
     if buf.len() < ENTRY_HEADER {
         return Err(Error::Corruption("entry header too short".into()));

@@ -294,6 +294,9 @@ impl TableReader {
     fn read_positions_opts(&self, bound: SearchBound, fill_cache: bool) -> Result<Span> {
         let lo_byte = (bound.lo * self.entry_width) as u64;
         let len = (bound.hi - bound.lo) * self.entry_width;
+        if len == 0 {
+            return Ok(Span::new(lo_byte, 0, 0));
+        }
         match &self.cache {
             None => {
                 let mut buf = vec![0u8; len];
@@ -326,9 +329,7 @@ impl TableReader {
         len: usize,
         fill_cache: bool,
     ) -> Result<Span> {
-        if len == 0 {
-            return Ok(Span::new(off, 0, 0));
-        }
+        debug_assert!(len > 0, "empty spans never reach the cache");
         let first = off / CACHE_BLOCK;
         let last = (off + len as u64 - 1) / CACHE_BLOCK;
         let mut span = Span::new(off, len, (last - first + 1) as usize);
@@ -540,16 +541,12 @@ impl TableReader {
             return Ok(Vec::new());
         }
         let span = self.read_positions_opts(SearchBound { lo, hi }, fill_cache)?;
-        (0..hi - lo)
-            .map(|i| {
-                let pos = i * self.entry_width;
-                let (key, vlen) = span.header_at(pos, self.value_width)?;
-                Ok(Entry {
-                    key,
-                    value: span.value_at(pos, vlen),
-                })
-            })
-            .collect()
+        let mut out = Vec::with_capacity(hi - lo);
+        span.try_for_each_entry(self.entry_width, |entry| {
+            out.push(format::decode_entry(entry, self.value_width)?);
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// All user keys, read sequentially (used to train level-grained
@@ -562,7 +559,10 @@ impl TableReader {
         while pos < self.n {
             let hi = (pos + CHUNK_ENTRIES).min(self.n);
             let span = self.read_positions_opts(SearchBound { lo: pos, hi }, false)?;
-            keys.extend((0..hi - pos).map(|i| span.key_at(i * self.entry_width)));
+            span.try_for_each_entry(self.entry_width, |entry| {
+                keys.push(format::decode_entry_key(entry));
+                Ok(())
+            })?;
             pos = hi;
         }
         Ok(keys)
@@ -677,12 +677,45 @@ impl Span {
         if let Some(in_place) = piece.get(i..i + scratch.len()) {
             return in_place;
         }
+        self.assemble(pos, scratch);
+        scratch
+    }
+
+    /// Copy span bytes `[pos, pos + out.len())` into `out`.
+    fn assemble(&self, pos: usize, out: &mut [u8]) {
         let mut done = 0;
-        self.for_each_chunk(pos, pos + scratch.len(), |chunk| {
-            scratch[done..done + chunk.len()].copy_from_slice(chunk);
+        self.for_each_chunk(pos, pos + out.len(), |chunk| {
+            out[done..done + chunk.len()].copy_from_slice(chunk);
             done += chunk.len();
         });
-        scratch
+    }
+
+    /// Hand `f` each `width`-byte entry of the span in order, walking the
+    /// pieces once: in place when one piece holds the entry, else
+    /// assembled in a buffer (a sequential scan never searches pieces).
+    fn try_for_each_entry(
+        &self,
+        width: usize,
+        mut f: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        debug_assert_eq!(self.len % width, 0, "a span holds whole entries");
+        let mut pos = 0;
+        let mut straddler = Vec::new();
+        for p in &self.pieces {
+            let bytes = p.bytes();
+            let end = p.at + bytes.len();
+            while pos + width <= end {
+                f(&bytes[pos - p.at..pos - p.at + width])?;
+                pos += width;
+            }
+            if pos < end {
+                straddler.resize(width, 0);
+                self.assemble(pos, &mut straddler);
+                f(&straddler)?;
+                pos += width;
+            }
+        }
+        Ok(())
     }
 
     /// User key of the entry at span offset `pos`.
