@@ -660,16 +660,6 @@ impl Span {
         (p.bytes(), pos - p.at)
     }
 
-    /// Hand `f` the span bytes `[pos, end)`, one piece's share at a time.
-    fn for_each_chunk(&self, mut pos: usize, end: usize, mut f: impl FnMut(&[u8])) {
-        while pos < end {
-            let (piece, i) = self.locate(pos);
-            let n = (piece.len() - i).min(end - pos);
-            f(&piece[i..i + n]);
-            pos += n;
-        }
-    }
-
     /// Span bytes `[pos, pos + scratch.len())`: in place when one piece
     /// holds them all, else assembled in `scratch`.
     fn bytes_at<'a>(&'a self, pos: usize, scratch: &'a mut [u8]) -> &'a [u8] {
@@ -684,10 +674,12 @@ impl Span {
     /// Copy span bytes `[pos, pos + out.len())` into `out`.
     fn assemble(&self, pos: usize, out: &mut [u8]) {
         let mut done = 0;
-        self.for_each_chunk(pos, pos + out.len(), |chunk| {
-            out[done..done + chunk.len()].copy_from_slice(chunk);
-            done += chunk.len();
-        });
+        while done < out.len() {
+            let (piece, i) = self.locate(pos + done);
+            let n = (piece.len() - i).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&piece[i..i + n]);
+            done += n;
+        }
     }
 
     /// Hand `f` each `width`-byte entry of the span in order, walking the
@@ -733,9 +725,8 @@ impl Span {
 
     /// The `vlen` value bytes of the entry at span offset `pos`.
     fn value_at(&self, pos: usize, vlen: usize) -> Vec<u8> {
-        let start = pos + format::ENTRY_HEADER;
-        let mut value = Vec::with_capacity(vlen);
-        self.for_each_chunk(start, start + vlen, |chunk| value.extend_from_slice(chunk));
+        let mut value = vec![0u8; vlen];
+        self.assemble(pos + format::ENTRY_HEADER, &mut value);
         value
     }
 }
@@ -744,8 +735,8 @@ impl Span {
 #[cfg(test)]
 impl Span {
     fn to_vec(&self) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(self.len);
-        self.for_each_chunk(0, self.len, |chunk| bytes.extend_from_slice(chunk));
+        let mut bytes = vec![0u8; self.len];
+        self.assemble(0, &mut bytes);
         bytes
     }
 }
