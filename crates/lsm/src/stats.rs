@@ -312,7 +312,7 @@ impl DbStats {
 
     /// Nanoseconds since `started`; 0 when the timer never started.
     #[inline]
-    pub fn stage_ns(started: Option<Instant>) -> u64 {
+    pub(crate) fn stage_ns(started: Option<Instant>) -> u64 {
         started.map_or(0, |t| t.elapsed().as_nanos() as u64)
     }
 
